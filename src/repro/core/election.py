@@ -194,7 +194,7 @@ class ElectionNode(Component):
         )
         self.trace("election.announce", round=str(uid))
         self.mac.send(announce)
-        self._emit_elected(uid, self.node_id)
+        self.elected.emit(uid, self.node_id)
 
     def _on_announce(self, packet: Packet) -> None:
         uid = packet.payload
@@ -224,7 +224,7 @@ class ElectionNode(Component):
             self.trace("election.ack", round=str(uid), leader=packet.origin)
             self.mac.send(ack)
         if first_news:
-            self._emit_elected(uid, packet.origin)
+            self.elected.emit(uid, packet.origin)
 
     def _on_ack(self, packet: Packet) -> None:
         uid, leader = packet.payload
@@ -239,11 +239,7 @@ class ElectionNode(Component):
         # the arbiter's verdict.
         if round_.leader != leader:
             round_.leader = leader
-            self._emit_elected(uid, leader)
-
-    def _emit_elected(self, uid: tuple, leader: int) -> None:
-        if self.elected.connected:
-            self.elected(uid, leader)
+            self.elected.emit(uid, leader)
 
     # -------------------------------------------------------------- queries
 

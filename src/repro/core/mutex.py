@@ -105,8 +105,7 @@ class TokenMutex(Component):
             self.wait_times.append(0.0)
             if on_acquire is not None:
                 on_acquire()
-            if self.acquired.connected:
-                self.acquired()
+            self.acquired.emit()
             return
         if self.state == MutexState.RELEASING:
             # We are offering the token away; remember that we want it again
@@ -230,8 +229,7 @@ class TokenMutex(Component):
         self._requested_at = None
         if callback is not None:
             callback()
-        if self.acquired.connected:
-            self.acquired()
+        self.acquired.emit()
 
     def _on_request(self, packet: Packet) -> None:
         # An idle holder re-opens the offer when somebody asks.

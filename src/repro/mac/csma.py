@@ -77,7 +77,7 @@ class MacConfig:
         return min(self.cw_min_slots << retries, self.cw_max_slots)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MacRxInfo:
     """Reception metadata handed to the network layer with each packet."""
 
@@ -325,7 +325,8 @@ class CsmaMac(Component):
         self.rts_sent += 1
         self._tx_in_flight = True
         self._tx_is_rts = True
-        self.trace("mac.rts", dst=job.dst)
+        if self.ctx.tracing:
+            self.trace("mac.rts", dst=job.dst)
 
     def _transmit_data(self, job: TxJob) -> None:
         frame = self._data_frame(job)
@@ -389,8 +390,8 @@ class CsmaMac(Component):
         job = self._current
         self._current = None
         self._current_seq = None
-        if job is not None and self.sent.connected:
-            self.sent(job.packet, job.dst)
+        if job is not None:
+            self.sent.emit(job.packet, job.dst)
         self._kick()
 
     def _fail_current(self, silent: bool) -> None:
@@ -411,8 +412,8 @@ class CsmaMac(Component):
                 self.ctx.obs.on_drop(self.now, self.node_id, "mac", reason,
                                      job.packet.uid, dst=job.dst,
                                      retries=job.retries)
-            if not silent and self.send_failed.connected:
-                self.send_failed(job.packet, job.dst)
+            if not silent:
+                self.send_failed.emit(job.packet, job.dst)
         if self.radio.is_on:
             self._kick()
         else:
@@ -474,23 +475,17 @@ class CsmaMac(Component):
                 self.schedule(self.config.sifs_s, self._send_reserved_data)
             return
 
-        rx = MacRxInfo(
-            src=frame.src,
-            power_dbm=info.power_dbm,
-            time=self.now,
-            overheard=(frame.dst is not None and frame.dst != self.node_id),
-        )
+        rx = MacRxInfo(frame.src, info.power_dbm, self.sim.now,
+                       frame.dst is not None and frame.dst != self.node_id)
         if frame.is_broadcast:
             self.delivered_up += 1
-            if self.to_net.connected:
-                self.to_net(frame.payload, rx)
+            self.to_net.emit(frame.payload, rx)
         elif frame.dst == self.node_id:
             self.schedule(self.config.sifs_s, self._send_ack, frame.src, frame.seq)
             self.delivered_up += 1
-            if self.to_net.connected:
-                self.to_net(frame.payload, rx)
-        elif self.config.promiscuous and self.to_net.connected:
-            self.to_net(frame.payload, rx)
+            self.to_net.emit(frame.payload, rx)
+        elif self.config.promiscuous:
+            self.to_net.emit(frame.payload, rx)
 
     def _send_reserved_data(self) -> None:
         job = self._current

@@ -107,8 +107,7 @@ class NetworkProtocol(Component):
             self.ctx.obs.on_deliver(self.now, self.node_id, packet.uid,
                                     self.now - packet.created_at,
                                     packet.actual_hops + 1)
-        if self.deliver.connected:
-            self.deliver(packet, rx)
+        self.deliver.emit(packet, rx)
 
     # The thin ledger shims below keep instrumented protocol code to one
     # guarded line per site; each records at this node's net layer.

@@ -42,7 +42,8 @@ class Observability:
                  ledger: PacketLedger | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ledger = ledger if ledger is not None else PacketLedger()
-        #: Read through ``SimContext.observing``; flip to pause collection.
+        #: Copied into ``SimContext.observing`` when the context is built;
+        #: set it to False before then to run without collection.
         self.enabled = True
         #: kind -> node ids it has touched (backs the fault_nodes gauge).
         self._fault_touched: dict[str, set[int]] = {}

@@ -45,7 +45,14 @@ class RadioState(enum.Enum):
     OFF = "off"
 
 
-@dataclass(frozen=True)
+# Module-level aliases: the hot path compares states by identity.
+_TX = RadioState.TX
+_RX = RadioState.RX
+_SLEEP = RadioState.SLEEP
+_OFF = RadioState.OFF
+
+
+@dataclass(slots=True)
 class RxInfo:
     """Reception metadata delivered to the MAC alongside a decoded frame.
 
@@ -108,6 +115,10 @@ class Transceiver(Component):
         self.channel = channel
         self.config = config
         self.energy = energy
+        # RadioConfig is frozen: cache what every reception reads.
+        self.rx_threshold_dbm = config.rx_threshold_dbm
+        self.cs_threshold_dbm = config.cs_threshold_dbm
+        self.sinr_model = config.sinr_model
 
         self.state = RadioState.IDLE
         self._locked: int | None = None  # token of the frame being decoded
@@ -135,11 +146,12 @@ class Transceiver(Component):
 
     @property
     def is_on(self) -> bool:
-        return self.state not in (RadioState.SLEEP, RadioState.OFF)
+        state = self.state
+        return state is not _SLEEP and state is not _OFF
 
     def carrier_busy(self) -> bool:
         """True when the MAC should defer (energy sensed or transmitting)."""
-        return self.state == RadioState.TX or self._sensed > 0
+        return self.state is _TX or self._sensed > 0
 
     def _set_state(self, state: RadioState) -> None:
         if self.energy is not None:
@@ -167,14 +179,14 @@ class Transceiver(Component):
             self._sensed = 0
             self._set_state(RadioState.SLEEP if sleep else RadioState.OFF)
             self.trace("radio.off")
-            if was_busy and self.carrier.connected:
-                self.carrier(False)
+            if was_busy:
+                self.carrier.emit(False)
 
     # -------------------------------------------------------------- transmit
 
     def transmit(self, frame: "Frame", duration: float) -> bool:
         """Start transmitting.  Returns False if the radio cannot send now."""
-        if not self.is_on or self.state == RadioState.TX:
+        if not self.is_on or self.state is _TX:
             return False
         # Half-duplex: starting a transmission destroys any reception that
         # was being decoded.
@@ -195,35 +207,35 @@ class Transceiver(Component):
         self._set_state(RadioState.IDLE)
         # A reception that began mid-transmission was corrupted at
         # begin_receive time; nothing to resume here.
-        if self.tx_done.connected:
-            self.tx_done()
-        if not self.carrier_busy() and self.carrier.connected:
+        self.tx_done.emit()
+        if not self.carrier_busy():
             # Leaving TX may have freed the medium from the MAC's viewpoint.
-            self.carrier(False)
+            self.carrier.emit(False)
 
     # --------------------------------------------------------------- receive
 
     def begin_receive(self, token: int, frame: "Frame", power_dbm: float) -> None:
         """Channel callback: a frame's leading edge reached this node."""
-        if not self.is_on:
+        state = self.state
+        if state is _SLEEP or state is _OFF:
             return
-        decodable = power_dbm >= self.config.rx_threshold_dbm
-        reception = _Reception(frame, power_dbm, self.now, decodable)
+        decodable = power_dbm >= self.rx_threshold_dbm
+        reception = _Reception(frame, power_dbm, self.sim.now, decodable)
         self._receptions[token] = reception
 
-        if power_dbm >= self.config.cs_threshold_dbm:
+        if power_dbm >= self.cs_threshold_dbm:
             self._sensed += 1
-            if self._sensed == 1 and self.state != RadioState.TX and self.carrier.connected:
-                self.carrier(True)
+            if self._sensed == 1 and state is not _TX:
+                self.carrier.emit(True)
 
         if not decodable:
-            if self.config.sinr_model:
+            if self.sinr_model:
                 self._check_locked_sinr()
             return
-        if self.state == RadioState.TX:
+        if state is _TX:
             reception.corrupted = True
             return
-        if self.config.sinr_model:
+        if self.sinr_model:
             self._begin_receive_sinr(token, reception)
             return
         if self._locked is None:
@@ -297,14 +309,14 @@ class Transceiver(Component):
         if reception is None:
             return  # radio was off when the frame arrived (or cycled off/on)
 
-        if reception.power_dbm >= self.config.cs_threshold_dbm:
+        if reception.power_dbm >= self.cs_threshold_dbm:
             self._sensed = max(0, self._sensed - 1)
-            if self._sensed == 0 and self.state != RadioState.TX and self.carrier.connected:
-                self.carrier(False)
+            if self._sensed == 0 and self.state is not _TX:
+                self.carrier.emit(False)
 
         if self._locked == token:
             self._locked = None
-            if self.state == RadioState.RX:
+            if self.state is _RX:
                 self._set_state(RadioState.IDLE)
             if (not reception.corrupted and self.fault_corrupt_prob > 0.0
                     and float(self._fault_rng.random()) < self.fault_corrupt_prob):
@@ -321,7 +333,7 @@ class Transceiver(Component):
                         payload.uid if payload is not None else None)
                 return
             if not reception.corrupted:
-                info = RxInfo(reception.power_dbm, reception.begin_time, self.now)
+                info = RxInfo(reception.power_dbm, reception.begin_time, self.sim.now)
                 if self.ctx.tracing:
                     self.trace("radio.rx", frame=str(reception.frame), power=reception.power_dbm)
                 if self.ctx.observing:
@@ -330,8 +342,7 @@ class Transceiver(Component):
                         self.now, self.node_id,
                         payload.uid if payload is not None else None,
                         reception.power_dbm)
-                if self.to_mac.connected:
-                    self.to_mac(reception.frame, info)
+                self.to_mac.emit(reception.frame, info)
             else:
                 if self.ctx.tracing:
                     self.trace("radio.rx_corrupt", frame=str(reception.frame))

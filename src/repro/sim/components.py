@@ -28,30 +28,47 @@ class PortNotConnected(RuntimeError):
     """Raised when a component sends through an unwired outport."""
 
 
+def _unconnected(*args: Any, **kwargs: Any) -> None:
+    """What :attr:`Outport.emit` does before any handler is wired: nothing."""
+
+
 class Outport:
     """A one-to-many output connector.
 
-    Calling the port invokes every connected handler, in connection order.
+    Components send through :attr:`emit`, which :meth:`connect` rebinds so
+    that sending costs what the wiring needs and no more: a no-op while the
+    port is unconnected, the peer's bound method itself once one handler is
+    wired, and an in-order fan-out for two or more.  Calling the port
+    directly invokes every handler too, but raises
+    :class:`PortNotConnected` when there is none.
     """
 
-    __slots__ = ("name", "_handlers")
+    __slots__ = ("name", "_handlers", "connected", "emit")
 
     def __init__(self, name: str):
         self.name = name
         self._handlers: list[Callable[..., None]] = []
+        self.connected = False
+        self.emit: Callable[..., None] = _unconnected
 
     def connect(self, handler: Callable[..., None]) -> None:
         self._handlers.append(handler)
+        self.connected = True
+        if len(self._handlers) == 1:
+            self.emit = handler
+            return
+        handlers = tuple(self._handlers)
 
-    @property
-    def connected(self) -> bool:
-        return bool(self._handlers)
+        def fan_out(*args: Any, **kwargs: Any) -> None:
+            for each in handlers:
+                each(*args, **kwargs)
+
+        self.emit = fan_out
 
     def __call__(self, *args: Any, **kwargs: Any) -> None:
-        if not self._handlers:
+        if not self.connected:
             raise PortNotConnected(f"outport {self.name!r} is not connected")
-        for handler in self._handlers:
-            handler(*args, **kwargs)
+        self.emit(*args, **kwargs)
 
 
 class SimContext:
@@ -59,6 +76,12 @@ class SimContext:
 
     Bundles the simulator clock/scheduler, the named RNG streams and the
     tracer, so component constructors take a single ``ctx`` argument.
+
+    :attr:`tracing` and :attr:`observing` are plain attributes fixed here,
+    when the context is built: hot-path code reads them once per
+    instrumented site.  Set ``Tracer.enabled`` / ``Observability.enabled``
+    before building the context; toggling them later does not reach the
+    gates.
     """
 
     def __init__(
@@ -74,33 +97,20 @@ class SimContext:
         #: Observability bundle (metrics registry + packet ledger); ``None``
         #: means no collection — see :attr:`observing`.
         self.obs = obs
+        #: True when trace records are being collected.  Hot-path code
+        #: checks this *before* building trace arguments (``str(frame)``,
+        #: kwargs dicts), making disabled tracing free.
+        self.tracing: bool = self.tracer.enabled
+        #: True when the observability subsystem is collecting.  The same
+        #: zero-cost discipline as :attr:`tracing`: hot-path code checks
+        #: this before building ledger/metric arguments, so a run without
+        #: an :class:`~repro.obs.observe.Observability` attached pays one
+        #: attribute read per instrumented site.
+        self.observing: bool = obs is not None and obs.enabled
 
     @property
     def now(self) -> float:
         return self.simulator.now
-
-    @property
-    def tracing(self) -> bool:
-        """True when trace records are being collected.
-
-        Hot-path code checks this *before* building trace arguments
-        (``str(frame)``, kwargs dicts), making disabled tracing free.
-        Reads through to :attr:`Tracer.enabled` so runtime toggles are
-        honoured.
-        """
-        return self.tracer.enabled
-
-    @property
-    def observing(self) -> bool:
-        """True when the observability subsystem is collecting.
-
-        The same zero-cost discipline as :attr:`tracing`: hot-path code
-        checks this before building ledger/metric arguments, so a run
-        without an :class:`~repro.obs.observe.Observability` attached pays
-        one attribute read per instrumented site.
-        """
-        obs = self.obs
-        return obs is not None and obs.enabled
 
 
 class Component:
@@ -112,6 +122,7 @@ class Component:
 
     def __init__(self, ctx: SimContext, name: str):
         self.ctx = ctx
+        self.sim = ctx.simulator
         self.name = name
 
     # ------------------------------------------------------------- utilities
@@ -121,10 +132,10 @@ class Component:
 
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any,
                  priority: int = 0) -> EventHandle:
-        return self.ctx.simulator.schedule(delay, callback, *args, priority=priority)
+        return self.sim.schedule(delay, callback, *args, priority=priority)
 
     def trace(self, kind: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(self.ctx.now, self.name, kind, **detail)
+        self.ctx.tracer.emit(self.sim.now, self.name, kind, **detail)
 
     def rng(self, stream_suffix: str = "") -> Any:
         """The component's own RNG stream (optionally sub-named)."""
@@ -133,7 +144,7 @@ class Component:
 
     @property
     def now(self) -> float:
-        return self.ctx.now
+        return self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name}>"

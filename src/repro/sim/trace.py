@@ -13,7 +13,10 @@ behind the cheap :attr:`repro.sim.components.SimContext.tracing` flag::
         self.trace("radio.tx", frame=str(frame), duration=duration)
 
 so a disabled tracer is truly zero-cost: one attribute read, no argument
-construction, no call.
+construction, no call.  The flag is a plain attribute copied from
+:attr:`Tracer.enabled` when the context is built; toggling ``enabled``
+afterwards pauses :meth:`Tracer.emit` but does not reach the hot-path
+gates.
 
 Traces back two things in this reproduction:
 
