@@ -1,10 +1,8 @@
 """Durable, resumable experiment campaigns.
 
 Every figure in the paper is a (protocol × x × seed) grid of independent
-single-threaded runs.  :mod:`repro.experiments.parallel` fans those cells
-over a process pool, but each invocation recomputes everything, a crashed
-worker aborts the whole sweep, and nothing survives the process.  This
-package turns one-shot sweeps into *campaigns*:
+single-threaded runs.  This package turns one-shot sweeps into
+*campaigns*:
 
 * :mod:`repro.campaign.fingerprint` — stable content addressing: every cell
   is keyed by a hash of (runner name, protocol, x, seed, config fields,
@@ -15,7 +13,12 @@ package turns one-shot sweeps into *campaigns*:
 * :mod:`repro.campaign.executor` — a fault-tolerant layer over the process
   pool: per-cell timeouts, bounded retry with backoff,
   ``BrokenProcessPool`` recovery, and quarantine of persistently failing
-  cells (reported, never fatal to their neighbours);
+  cells (reported, never fatal to their neighbours).  It is the one retry
+  loop: campaigns, the serving daemon and dist workers all run cells
+  through it;
+* :mod:`repro.campaign.backend` — the execution-backend protocol and
+  registry; the default ``local-pool`` backend runs cells under that
+  executor, and :mod:`repro.dist` adds multi-host backends;
 * :mod:`repro.campaign.journal` — a JSONL journal plus manifest per
   campaign directory, so a killed run resumed with ``resume=True``
   re-executes only the missing cells and reassembles bit-identical

@@ -125,6 +125,20 @@ class ResultCache:
                 pass
             raise
 
+    def put_cell(self, cell, summary: MetricsSummary, *, runner: str,
+                 source: str) -> None:
+        """Publish a settled cell's result.
+
+        The one cache write of every execution path — the local-pool
+        backend (``source="local-pool"``), the serving daemon (``"serve"``)
+        and dist workers (``"dist"``) — so every entry carries the same
+        audit meta.  ``cell`` is anything with ``key``/``protocol``/``x``/
+        ``seed`` attributes.
+        """
+        self.put(cell.key, summary, meta={
+            "runner": runner, "protocol": cell.protocol,
+            "x": float(cell.x), "seed": int(cell.seed), "source": source})
+
     # ------------------------------------------------------------ reporting
 
     @property

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
 __all__ = ["Cell", "CellFailure", "ExecutorConfig", "FaultTolerantExecutor",
-           "ObservedResult", "ObservedRunner"]
+           "ObservedResult", "ObservedRunner", "split_observed"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,14 @@ class ObservedRunner:
         obs = Observability()
         summary = self.run_one(protocol, x, seed, config, obs=obs, **extra)
         return ObservedResult(summary=summary, obs_snapshot=obs.snapshot())
+
+
+def split_observed(result) -> tuple[Any, Optional[dict]]:
+    """``(summary, obs_snapshot)`` of what a cell returned; the snapshot is
+    ``None`` for a plain (unobserved) summary."""
+    if isinstance(result, ObservedResult):
+        return result.summary, result.obs_snapshot
+    return result, None
 
 
 @dataclass(frozen=True)

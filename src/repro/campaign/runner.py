@@ -2,15 +2,17 @@
 
 :func:`run_campaign` is the one entry point.  Given the same
 ``run_one(protocol, x, seed, config, **extra)`` callable the serial runners
-and :func:`repro.experiments.parallel.parallel_sweep` use, it settles every
-cell of the (protocol × x × seed) grid through a three-level lookup:
+use, it settles every cell of the (protocol × x × seed) grid through a
+three-level lookup:
 
 1. **journal** — on ``resume=True``, cells already settled in the campaign
    directory's journal are replayed without touching the cache or pool;
 2. **cache** — cells whose content address is present in the result cache
    are hits, recorded to the journal, never executed;
-3. **execution** — everything else runs under the fault-tolerant executor
-   (timeouts, retries, pool recovery, quarantine).
+3. **execution** — everything else goes to an execution backend
+   (:mod:`repro.campaign.backend`; ``local-pool`` by default), which runs it
+   under the fault-tolerant executor (timeouts, retries, pool recovery,
+   quarantine) and publishes each result to the cache.
 
 Results are reassembled in canonical grid order — the exact nested-loop
 order the serial runners use — so the returned ``{protocol: SweepSeries}``
@@ -26,14 +28,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.campaign.backend import BackendRun, DistOptions, get_backend
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import (
     Cell,
     CellFailure,
     ExecutorConfig,
-    FaultTolerantExecutor,
     ObservedResult,
-    ObservedRunner as _ObservedRunner,
+    split_observed,
 )
 from repro.campaign.fingerprint import (
     campaign_fingerprint,
@@ -107,12 +109,14 @@ def run_campaign(
     the figure runners costs nothing when durability isn't requested.
 
     ``backend`` selects how cells that need execution are run: ``None`` or
-    ``"local-pool"`` is the in-process fault-tolerant pool (bit-identical
-    to the historical runner); ``"ssh"`` fans out to multi-host workers
-    over a shared spool; ``"job-array"`` emits shard manifests plus batch
-    submit scripts (see :mod:`repro.dist` and docs/DISTRIBUTED.md).  A
-    backend instance is accepted as well as a name.  ``dist_options`` is a
-    :class:`repro.dist.DistOptions` (hosts file, lease TTL, shards...).
+    ``"local-pool"`` is the in-process fault-tolerant pool; ``"ssh"`` fans
+    out to multi-host workers over a shared spool; ``"job-array"`` emits
+    shard manifests plus batch submit scripts (see :mod:`repro.dist` and
+    docs/DISTRIBUTED.md).  A backend instance is accepted as well as a
+    name.  ``dist_options`` is a :class:`repro.dist.DistOptions` (hosts
+    file, lease TTL, shards...).  Every backend is reached through
+    :func:`repro.campaign.backend.get_backend` and publishes the results
+    it executes to the cache itself.
     """
     name = runner_name if runner_name is not None else runner_name_of(run_one)
     extra = dict(extra_kwargs or {})
@@ -189,19 +193,15 @@ def run_campaign(
         to_execute.append(Cell(key=key, protocol=protocol, x=x, seed=seed))
 
     if to_execute:
-        def on_success(cell: Cell, summary, attempts: int, wall_s: float):
-            if isinstance(summary, ObservedResult):
-                telemetry.record_obs(summary.obs_snapshot)
-                summary = summary.summary
+        def on_success(cell: Cell, result, attempts: int, wall_s: float):
+            summary, obs_snapshot = split_observed(result)
+            if obs_snapshot is not None:
+                telemetry.record_obs(obs_snapshot)
             record = CellRecord(key=cell.key, protocol=cell.protocol,
                                 x=float(cell.x), seed=int(cell.seed),
                                 status="done", source="run", summary=summary,
                                 attempts=attempts, wall_s=wall_s)
             records[cell.key] = record
-            if cache is not None:
-                cache.put(cell.key, summary,
-                          meta={"runner": name, "protocol": cell.protocol,
-                                "x": float(cell.x), "seed": int(cell.seed)})
             if journal is not None:
                 journal.append(record)
             telemetry.record("run", wall_s)
@@ -227,42 +227,26 @@ def run_campaign(
                         cell=_cell_label(cell.protocol, cell.x, cell.seed),
                         attempt=attempts, error=error)
 
-        executor_config = ExecutorConfig(
-            max_workers=max(1, workers),
-            timeout_s=timeout_s,
-            max_retries=max_retries,
-            backoff_s=backoff_s,
+        backend = backend or "local-pool"
+        backend_obj = (get_backend(backend) if isinstance(backend, str)
+                       else backend)
+        run = BackendRun(
+            run_one=run_one, config=config, extra_kwargs=extra,
+            cells=to_execute,
+            executor_config=ExecutorConfig(
+                max_workers=max(1, workers), timeout_s=timeout_s,
+                max_retries=max_retries, backoff_s=backoff_s),
+            on_success=on_success, on_quarantine=on_quarantine,
+            on_retry=on_retry, observe=observe, runner_name=name,
+            cache=cache,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            campaign_dir=(str(campaign_dir) if campaign_dir is not None
+                          else None),
+            options=dist_options or DistOptions(),
         )
-        if backend is None or backend == "local-pool":
-            # The default path stays exactly the historical runner: an
-            # in-process fault-tolerant pool, no spool, no dist imports.
-            runner = _ObservedRunner(run_one) if observe else run_one
-            executor = FaultTolerantExecutor(
-                runner, config, extra_kwargs=extra,
-                executor_config=executor_config,
-                on_retry=on_retry,
-            )
-            executor.run(to_execute, on_success, on_quarantine)
-        else:
-            from repro.dist.backend import (
-                BackendRun, DistOptions, get_backend,
-            )
-            backend_obj = (get_backend(backend) if isinstance(backend, str)
-                           else backend)
-            run = BackendRun(
-                run_one=run_one, config=config, extra_kwargs=extra,
-                cells=to_execute, executor_config=executor_config,
-                on_success=on_success, on_quarantine=on_quarantine,
-                on_retry=on_retry, observe=observe, runner_name=name,
-                cache=cache,
-                cache_dir=str(cache_dir) if cache_dir is not None else None,
-                campaign_dir=(str(campaign_dir) if campaign_dir is not None
-                              else None),
-                options=dist_options or DistOptions(),
-            )
-            dist_stats = backend_obj.execute(run) or {}
-            if dist_stats:
-                telemetry.record_dist(dist_stats)
+        dist_stats = backend_obj.execute(run) or {}
+        if dist_stats:
+            telemetry.record_dist(dist_stats)
 
     # Reassemble in canonical grid order — the serial runners' loop order —
     # so per-x sample lists (and thus means/stderrs) are bit-identical.

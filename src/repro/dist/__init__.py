@@ -1,11 +1,11 @@
 """Distributed campaign execution.
 
 The campaign runner settles sweep cells through an
-:class:`~repro.dist.backend.ExecutionBackend`; this package holds the
-backend protocol plus the three built-in implementations:
+:class:`~repro.campaign.backend.ExecutionBackend`.  The protocol, its
+registry and the default ``local-pool`` backend (the in-process
+:class:`FaultTolerantExecutor`) live in :mod:`repro.campaign.backend` and
+are re-exported here; this package holds the two distributed backends:
 
-* ``local-pool`` — today's in-process :class:`FaultTolerantExecutor`
-  (the default; behavior-identical to the pre-backend runner);
 * ``ssh`` — stdlib-only multi-host execution: ``python -m
   repro.dist.worker`` agents launched over ssh (or directly for the
   ``local`` pseudo-host) pull cells from a filesystem spool shared

@@ -1,39 +1,32 @@
-"""The execution backend protocol and the local-pool reference backend.
+"""Spool draining, shared by every spool-based execution backend.
 
-:func:`repro.campaign.runner.run_campaign` no longer hardwires a process
-pool: after the journal/cache triage it hands the cells that actually
-need execution to an :class:`ExecutionBackend`.  A backend settles every
-cell — each either succeeds (``run.on_success``) or is quarantined
-(``run.on_quarantine``) — and returns a JSON-safe stats dict that lands
-in the campaign summary under ``"dist"``.
-
-``local-pool`` wraps the existing
-:class:`~repro.campaign.executor.FaultTolerantExecutor` with exactly the
-arguments the runner used to build inline, so a campaign run through it
-is bit-identical to the pre-backend runner.  The distributed backends
-(``ssh``, ``job-array``) live in :mod:`repro.dist.ssh` and
-:mod:`repro.dist.job_array`; both coordinate through a
+The backend protocol, its registry and the default ``local-pool`` backend
+live in :mod:`repro.campaign.backend` and are re-exported here.  The
+distributed backends (``ssh``, ``job-array``) live in :mod:`repro.dist.ssh`
+and :mod:`repro.dist.job_array`; both coordinate through a
 :class:`~repro.dist.spool.WorkSpool` and share :func:`drain_spool`, the
 coordinator loop that folds settlement markers back into the campaign's
-journal, cache accounting, and telemetry.
+journal and telemetry.  Their workers publish results to the cache
+themselves (:mod:`repro.dist.worker`).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Protocol, runtime_checkable
+from typing import Callable
 
-from repro.campaign.cache import ResultCache
-from repro.campaign.executor import (
-    Cell,
-    CellFailure,
-    ExecutorConfig,
-    FaultTolerantExecutor,
-    ObservedResult,
-    ObservedRunner,
+from repro.campaign.backend import (
+    BackendRun,
+    DistOptions,
+    ExecutionBackend,
+    LocalPoolBackend,
+    backend_names,
+    get_backend,
+    register_backend,
 )
+from repro.campaign.cache import ResultCache
+from repro.campaign.executor import CellFailure, ObservedResult
 from repro.dist.spool import WorkSpool
 
 __all__ = [
@@ -46,71 +39,6 @@ __all__ = [
     "get_backend",
     "register_backend",
 ]
-
-
-@dataclass(frozen=True)
-class DistOptions:
-    """Distribution knobs forwarded from the CLI to the backend."""
-
-    #: Hosts file for the ssh backend (see docs/DISTRIBUTED.md); ``None``
-    #: means one ``local`` pseudo-host running ``workers`` agents.
-    hosts_file: Optional[str] = None
-    #: Lease TTL — how long a silent worker keeps a cell before a peer
-    #: steals it.  The distributed analogue of ``--timeout``.
-    lease_ttl_s: float = 30.0
-    #: Shard count for the job-array backend (default: one per ~500 cells).
-    shards: Optional[int] = None
-    #: Where to put the spool; default ``<campaign-dir>/spool``.
-    spool_dir: Optional[str] = None
-    #: Coordinator poll interval while waiting on workers.
-    poll_s: float = 0.25
-    #: job-array: block until externally-run shards settle the spool.
-    wait: bool = False
-
-
-@dataclass
-class BackendRun:
-    """Everything a backend needs to settle a batch of cells."""
-
-    run_one: Callable
-    config: Any
-    extra_kwargs: Mapping
-    cells: list[Cell]
-    executor_config: ExecutorConfig
-    on_success: Callable[[Cell, Any, int, float], None]
-    on_quarantine: Callable[[CellFailure], None]
-    on_retry: Optional[Callable[[Cell, int, str], None]] = None
-    observe: bool = False
-    runner_name: str = ""
-    cache: Optional[ResultCache] = None
-    cache_dir: Optional[str] = None
-    campaign_dir: Optional[str] = None
-    options: DistOptions = field(default_factory=DistOptions)
-
-
-@runtime_checkable
-class ExecutionBackend(Protocol):
-    """Settles every cell of a :class:`BackendRun`; returns dist stats."""
-
-    name: str
-
-    def execute(self, run: BackendRun) -> dict: ...
-
-
-class LocalPoolBackend:
-    """Today's in-process fault-tolerant pool, behind the protocol."""
-
-    name = "local-pool"
-
-    def execute(self, run: BackendRun) -> dict:
-        runner = ObservedRunner(run.run_one) if run.observe else run.run_one
-        executor = FaultTolerantExecutor(
-            runner, run.config, extra_kwargs=dict(run.extra_kwargs),
-            executor_config=run.executor_config,
-            on_retry=run.on_retry,
-        )
-        executor.run(run.cells, run.on_success, run.on_quarantine)
-        return {}
 
 
 # --------------------------------------------------------------------------
@@ -235,45 +163,6 @@ def drain_spool(
     stats["cells_spooled"] = len(cells_by_key)
     stats["inline_fallback"] = fallback_used
     return stats
-
-
-# --------------------------------------------------------------------------
-# Registry.
-
-_BACKENDS: dict[str, Callable[[], ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    _BACKENDS[name] = factory
-
-
-def backend_names() -> list[str]:
-    return sorted(_BACKENDS)
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    try:
-        factory = _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown execution backend {name!r} "
-            f"(choose from: {' '.join(backend_names())})") from None
-    return factory()
-
-
-def _ssh_factory() -> ExecutionBackend:
-    from repro.dist.ssh import SshBackend
-    return SshBackend()
-
-
-def _job_array_factory() -> ExecutionBackend:
-    from repro.dist.job_array import JobArrayBackend
-    return JobArrayBackend()
-
-
-register_backend("local-pool", LocalPoolBackend)
-register_backend("ssh", _ssh_factory)
-register_backend("job-array", _job_array_factory)
 
 
 def default_spool_dir(run: BackendRun) -> Path:

@@ -9,9 +9,13 @@ same spool directory and they coordinate purely through lease files::
 
 The loop: scan the spooled cells (own shard first when ``--shard`` is
 given), skip settled ones, try to claim a lease on the rest; on a claim,
-execute the cell with the campaign's retry policy while a heartbeat
-thread renews the lease, publish the result to the shared
-content-addressed cache, write the ``done/`` marker, release the lease.
+execute the cell while a heartbeat thread renews the lease, publish the
+result to the shared content-addressed cache, write the ``done/`` marker,
+release the lease.  Execution, retry and observation are the campaign
+subsystem's: :class:`~repro.campaign.executor.FaultTolerantExecutor` in
+serial mode with the spool's retry policy, wrapped in
+:class:`~repro.campaign.executor.ObservedRunner` when the campaign observes
+— the same code the local-pool backend and the serving daemon run.
 When no cell is claimable, look for *expired* leases — a peer that died
 mid-cell — and steal them.  Exit when every cell is settled, the spool's
 ``STOP`` flag appears, or ``--max-cells`` is reached.
@@ -33,6 +37,13 @@ import time
 from typing import Optional
 
 from repro.campaign.cache import ResultCache
+from repro.campaign.executor import (
+    CellFailure,
+    ExecutorConfig,
+    FaultTolerantExecutor,
+    ObservedRunner,
+    split_observed,
+)
 from repro.dist.lease import HeartbeatThread, default_worker_id
 from repro.dist.spool import CellSpec, WorkSpool
 
@@ -61,9 +72,7 @@ class WorkerAgent:
         self.max_cells = max_cells
         manifest = spool.manifest()
         self.ttl_s = float(manifest["ttl_s"])
-        self.max_retries = int(manifest.get("max_retries", 2))
-        self.backoff_s = float(manifest.get("backoff_s", 0.05))
-        self.observe = bool(manifest.get("observe", False))
+        self.runner_name = str(manifest.get("campaign", ""))
         self.leases = spool.lease_dir(self.worker_id, ttl_s=self.ttl_s)
         cache_root = cache_dir or manifest.get("cache_dir")
         if cache_root is None:
@@ -73,9 +82,14 @@ class WorkerAgent:
         self.cache = ResultCache(cache_root)
 
         payload = spool.load_payload()
-        self.run_one = payload["run_one"]
-        self.config = payload["config"]
-        self.extra = dict(payload.get("extra", {}))
+        run_one = payload["run_one"]
+        self.executor = FaultTolerantExecutor(
+            ObservedRunner(run_one) if manifest.get("observe") else run_one,
+            payload["config"], extra_kwargs=payload.get("extra", {}),
+            executor_config=ExecutorConfig(
+                max_workers=1,
+                max_retries=int(manifest.get("max_retries", 2)),
+                backoff_s=float(manifest.get("backoff_s", 0.05))))
 
         self.cells_done = 0
         self.cells_failed = 0
@@ -109,55 +123,31 @@ class WorkerAgent:
 
     # -------------------------------------------------------------- execution
 
-    def _execute(self, cell: CellSpec):
-        """Run one cell with the spool's retry policy.  Returns
-        ``(summary, obs_snapshot, attempts, wall_s)`` or raises after the
-        final retry."""
-        attempts = 0
-        while True:
-            attempts += 1
-            start = time.monotonic()
-            try:
-                if self.observe:
-                    from repro.obs.observe import Observability
-                    obs = Observability()
-                    summary = self.run_one(cell.protocol, cell.x, cell.seed,
-                                           self.config, obs=obs, **self.extra)
-                    snapshot = obs.snapshot()
-                else:
-                    summary = self.run_one(cell.protocol, cell.x, cell.seed,
-                                           self.config, **self.extra)
-                    snapshot = None
-            except Exception as exc:  # noqa: BLE001 - quarantine, don't die
-                if attempts > self.max_retries:
-                    raise _CellFailed(attempts, repr(exc)) from exc
-                time.sleep(self.backoff_s * 2.0 ** max(0, attempts - 1))
-            else:
-                return summary, snapshot, attempts, time.monotonic() - start
-
     def _settle(self, cell: CellSpec, *, stolen: bool) -> None:
         """Execute a claimed cell and publish its settlement."""
-        try:
-            summary, snapshot, attempts, wall_s = self._execute(cell)
-        except _CellFailed as failure:
+
+        def on_success(cell: CellSpec, result, attempts: int, wall_s: float):
+            summary, snapshot = split_observed(result)
+            self.cache.put_cell(cell, summary, runner=self.runner_name,
+                                source="dist")
+            record = {
+                "key": cell.key, "worker": self.worker_id,
+                "attempts": attempts, "wall_s": wall_s, "stolen": stolen,
+            }
+            if snapshot is not None:
+                record["obs_snapshot"] = snapshot
+            self.spool.mark_done(cell.key, record)
+            self.cells_done += 1
+
+        def on_quarantine(failure: CellFailure):
             self.cells_failed += 1
             self.spool.mark_failed(cell.key, {
                 "key": cell.key, "worker": self.worker_id,
                 "attempts": failure.attempts, "error": failure.error,
                 "stolen": stolen,
             })
-            return
-        self.cache.put(cell.key, summary,
-                       meta={"worker": self.worker_id, "protocol": cell.protocol,
-                             "x": float(cell.x), "seed": int(cell.seed)})
-        record = {
-            "key": cell.key, "worker": self.worker_id,
-            "attempts": attempts, "wall_s": wall_s, "stolen": stolen,
-        }
-        if snapshot is not None:
-            record["obs_snapshot"] = snapshot
-        self.spool.mark_done(cell.key, record)
-        self.cells_done += 1
+
+        self.executor.run([cell], on_success, on_quarantine)
 
     def _claim_and_run(self, cell: CellSpec, *, allow_steal: bool) -> bool:
         """Try to take the cell; True if this worker settled it."""
@@ -235,13 +225,6 @@ class WorkerAgent:
                 time.sleep(self.poll_s)
         self.publish_stats("exited")
         return settled_by_me
-
-
-class _CellFailed(Exception):
-    def __init__(self, attempts: int, error: str):
-        super().__init__(error)
-        self.attempts = attempts
-        self.error = error
 
 
 def run_worker(

@@ -71,74 +71,8 @@ import argparse
 import dataclasses
 import os
 import sys
-import warnings
 
-__all__ = ["main", "EXPERIMENTS"]
-
-
-class _ExperimentsTable(dict):
-    """Deprecated mutable view of the registry's campaign experiments.
-
-    Reads fall through to the live registry, so newly registered
-    experiments appear without any CLI edit; item assignment (the old
-    ``cli.EXPERIMENTS[name] = (runner, …)`` override pattern) shadows the
-    registry entry, and ``main`` honours the shadow on the bare sweep path.
-    """
-
-    @staticmethod
-    def _registry_entry(name):
-        from repro.experiments import registry
-
-        definition = registry.get(name)
-        if definition is None or not definition.is_campaign:
-            return None
-        return (definition.run, definition.panels, definition.x_label)
-
-    def __missing__(self, name):
-        entry = self._registry_entry(name)
-        if entry is None:
-            raise KeyError(name)
-        return entry
-
-    def __contains__(self, name):
-        return (dict.__contains__(self, name)
-                or self._registry_entry(name) is not None)
-
-    def __iter__(self):
-        from repro.experiments import registry
-
-        names = dict.fromkeys(registry.campaign_capable())
-        names.update(dict.fromkeys(dict.keys(self)))
-        return iter(names)
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def keys(self):
-        return list(self)
-
-    def values(self):
-        return [self[name] for name in self]
-
-    def items(self):
-        return [(name, self[name]) for name in self]
-
-
-_EXPERIMENTS = _ExperimentsTable()
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the old module-level EXPERIMENTS table, now a live
-    # view of the registry.  `cli.EXPERIMENTS[...]`, `name in EXPERIMENTS`
-    # and test-time item overrides keep working; new code should use
-    # repro.experiments.registry.
-    if name == "EXPERIMENTS":
-        warnings.warn(
-            "repro.experiments.cli.EXPERIMENTS is deprecated; use "
-            "repro.experiments.registry (get/names/campaign_capable)",
-            DeprecationWarning, stacklevel=2)
-        return _EXPERIMENTS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,9 +456,7 @@ def main(argv: list[str] | None = None) -> int:
         if outcome.quarantined or args.summary_json:
             _report_campaign(outcome, args)
     else:
-        # Equivalent to definition.run(), except a shadowed entry in the
-        # deprecated EXPERIMENTS table (the old override pattern) wins.
-        results = _EXPERIMENTS[args.experiment][0]()
+        results = definition.run()
 
     _print_panels(args.experiment, results)
     _export(results, args)

@@ -13,12 +13,13 @@ A full lane refuses admission with :class:`AdmissionFull`, which the server
 maps to HTTP 429 plus a ``Retry-After`` estimated from the lane's queue
 depth and its observed per-cell wall time.
 
-Cells execute through the campaign subsystem's
-:class:`~repro.campaign.executor.FaultTolerantExecutor` (serial mode, in a
-worker thread via :func:`asyncio.to_thread`), so the daemon inherits the
-same retry/quarantine semantics campaigns have, and every fresh result is
-published to the shared :class:`~repro.campaign.cache.ResultCache` under
-its campaign-identical key.
+Cells execute through the campaign subsystem's code, the same code the
+local-pool backend and dist workers run:
+:class:`~repro.campaign.executor.FaultTolerantExecutor` in serial mode (in a
+worker thread via :func:`asyncio.to_thread`) for retry and quarantine,
+:class:`~repro.campaign.executor.ObservedRunner` for the per-cell obs
+bundle, and :meth:`~repro.campaign.cache.ResultCache.put_cell` to publish
+every fresh result to the shared cache under its campaign-identical key.
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from typing import Optional
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.cache import summary_to_dict
-from repro.campaign.executor import Cell, ExecutorConfig, FaultTolerantExecutor
+from repro.campaign.executor import (
+    Cell,
+    ExecutorConfig,
+    FaultTolerantExecutor,
+    ObservedRunner,
+    split_observed,
+)
 from repro.obs.logging import get_logger
 from repro.obs.spans import Span, SpanSink
 from repro.serve.singleflight import Flight, FlightRegistry
@@ -50,56 +57,47 @@ class AdmissionFull(Exception):
         self.retry_after_s = retry_after_s
 
 
-class _CellRunner:
-    """Per-attempt wrapper around ``run_one`` for one flight.
-
-    * ``observe`` attaches a fresh obs bundle per attempt (mirrors the
-      campaign runner's observed mode) and returns ``(summary, snapshot)``
-      instead of the bare summary;
-    * when the flight carries a trace id, each call records an ``attempt``
-      span (executor category, covering obs setup + snapshot) with a nested
-      ``sim.run`` span around the simulation itself.  Without a trace id
-      this costs two ``None`` checks per attempt.
-    """
+class _AttemptSpans:
+    """Traced flights only: each executor attempt records an ``attempt``
+    span (executor category, covering the obs bundle's setup and snapshot)
+    with a nested ``sim.run`` span around the simulation itself."""
 
     def __init__(self, run_one, *, observe: bool, flight: Flight,
-                 sink: Optional[SpanSink], parent_id: Optional[str] = None):
+                 sink: SpanSink, parent_id: str):
         self.run_one = run_one
-        self.observe = observe
         self.flight = flight
-        self.sink = sink if flight.trace_id is not None else None
+        self.sink = sink
         self.parent_id = parent_id
         self.attempts = 0
+        self._attempt_span: Optional[Span] = None
+        self._body = ObservedRunner(self._sim_run) if observe else self._sim_run
 
     def __call__(self, protocol, x, seed, config, **extra):
         self.attempts += 1
-        attempt_span = sim_span = None
-        if self.sink is not None:
-            attempt_span = Span(
-                "attempt", trace_id=self.flight.trace_id,
-                parent_id=self.parent_id, category="executor",
-                attrs={"attempt": self.attempts, "key": self.flight.key})
-        obs = None
-        if self.observe:
-            from repro.obs.observe import Observability
-            obs = Observability()
-            extra = {**extra, "obs": obs}
-        if attempt_span is not None:
-            sim_span = Span("sim.run", trace_id=self.flight.trace_id,
-                            parent_id=attempt_span.span_id, category="sim",
-                            attrs={"protocol": str(protocol), "x": float(x),
-                                   "seed": int(seed)})
+        span = self._attempt_span = Span(
+            "attempt", trace_id=self.flight.trace_id,
+            parent_id=self.parent_id, category="executor",
+            attrs={"attempt": self.attempts, "key": self.flight.key})
+        try:
+            result = self._body(protocol, x, seed, config, **extra)
+        except BaseException:
+            span.finish(self.sink, ok=False)
+            raise
+        span.finish(self.sink, ok=True)
+        return result
+
+    def _sim_run(self, protocol, x, seed, config, **extra):
+        span = Span("sim.run", trace_id=self.flight.trace_id,
+                    parent_id=self._attempt_span.span_id, category="sim",
+                    attrs={"protocol": str(protocol), "x": float(x),
+                           "seed": int(seed)})
         try:
             summary = self.run_one(protocol, x, seed, config, **extra)
         except BaseException as exc:
-            if sim_span is not None:
-                sim_span.finish(self.sink, error=repr(exc))
-                attempt_span.finish(self.sink, ok=False)
+            span.finish(self.sink, error=repr(exc))
             raise
-        if sim_span is not None:
-            sim_span.finish(self.sink)
-            attempt_span.finish(self.sink, ok=True)
-        return (summary, obs.snapshot()) if self.observe else summary
+        span.finish(self.sink)
+        return summary
 
 
 class Lane:
@@ -282,16 +280,20 @@ class LaneScheduler:
         """Worker-thread body: run the cell under the fault-tolerant
         executor (serial mode → same thread), publish to the cache."""
         resolved = flight.resolved
-        runner = _CellRunner(
-            resolved.run_one, observe=self.observe, flight=flight,
-            sink=self.sink,
-            parent_id=execute_span.span_id if execute_span else None)
+        if execute_span is not None:
+            runner = _AttemptSpans(resolved.run_one, observe=self.observe,
+                                   flight=flight, sink=self.sink,
+                                   parent_id=execute_span.span_id)
+        elif self.observe:
+            runner = ObservedRunner(resolved.run_one)
+        else:
+            runner = resolved.run_one
         outcome: dict = {}
 
-        def on_success(cell, summary, attempts, wall_s):
-            obs_snapshot = None
-            if isinstance(summary, tuple):  # observed runner's (summary, snap)
-                summary, obs_snapshot = summary
+        def on_success(cell, result, attempts, wall_s):
+            summary, obs_snapshot = split_observed(result)
+            self.cache.put_cell(cell, summary, runner=resolved.runner_name,
+                                source="serve")
             outcome.update(summary=summary, attempts=attempts,
                            wall_s=wall_s, obs=obs_snapshot)
 
@@ -313,12 +315,6 @@ class LaneScheduler:
         executor.run([Cell(key=resolved.key, protocol=query.protocol,
                            x=query.x, seed=query.seed)],
                      on_success, on_quarantine)
-        if "summary" in outcome:
-            self.cache.put(resolved.key, outcome["summary"],
-                           meta={"runner": resolved.runner_name,
-                                 "protocol": query.protocol,
-                                 "x": float(query.x), "seed": int(query.seed),
-                                 "source": "serve"})
         return outcome
 
     # -------------------------------------------------------------- stats

@@ -70,6 +70,17 @@ def observed_run_one(protocol, x, seed, config, obs=None):
     return make_summary(protocol, x, seed, config)
 
 
+def flaky_observed_run_one(protocol, x, seed, config, obs=None):
+    """Raises on the *first* attempt of every cell (a flag file in
+    ``config.flag_dir`` remembers it across processes), then behaves like
+    :func:`observed_run_one` — for retry-parity tests."""
+    flag = Path(config.flag_dir) / f"flaky-{protocol}-{x:g}-{seed}"
+    if not flag.exists():
+        flag.write_text("x")
+        raise RuntimeError(f"cell ({protocol}, {x}, {seed}) flaked")
+    return observed_run_one(protocol, x, seed, config, obs=obs)
+
+
 def failing_run_one(protocol, x, seed, config):
     """Raises forever for the (bad, 1.0, *) cells; succeeds elsewhere."""
     CALLS.append((protocol, x, seed))

@@ -6,6 +6,7 @@ import pytest
 
 import repro.experiments.cli as cli
 from repro.campaign import CampaignSpec
+from repro.experiments import registry
 from tests.campaign import fakes
 from tests.campaign.fakes import FakeConfig
 
@@ -20,8 +21,9 @@ def fake_spec(monkeypatch):
     spec = CampaignSpec(name="fig1", run_one=fakes.counting_run_one,
                         protocols=("counter1", "ssaf"), xs=(1.0, 2.0),
                         seeds=(1,), config=FakeConfig())
+    capable = registry.campaign_capable()
     monkeypatch.setattr(cli, "_campaign_spec",
-                        lambda name: spec if name in cli.EXPERIMENTS else None)
+                        lambda name: spec if name in capable else None)
     return spec
 
 

@@ -1,7 +1,5 @@
 """The experiment registry: builtins, plug-in registration, CLI wiring."""
 
-import warnings
-
 import pytest
 
 import repro.experiments.cli as cli
@@ -56,15 +54,12 @@ class TestPlugIn:
         def campaign_spec(config=None):  # pragma: no cover - never built
             raise NotImplementedError
 
-        # Registry, CLI subcommand choices and the deprecated EXPERIMENTS
-        # table all pick the new experiment up without any CLI change.
+        # Registry and CLI subcommand choices both pick the new experiment
+        # up without any CLI change.
         assert scratch_name in registry.names()
         assert scratch_name in registry.campaign_capable()
         parser = cli.build_parser()
         parser.parse_args([scratch_name])  # not a choices error
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert scratch_name in cli.EXPERIMENTS
 
     def test_script_registration(self, scratch_name):
         @register_script(name=scratch_name, description="scratch script")
@@ -94,14 +89,11 @@ class TestPlugIn:
 
 
 class TestCliShim:
-    def test_experiments_table_is_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="EXPERIMENTS"):
-            table = cli.EXPERIMENTS
-        assert set(table) == set(registry.campaign_capable())
-        runner, panels, x_label = table["fig1"]
-        assert callable(runner)
-        assert panels == registry.get("fig1").panels
-        assert x_label == registry.get("fig1").x_label
+    def test_experiments_table_removed(self):
+        # The deprecated EXPERIMENTS table is gone; the registry is the
+        # only lookup.
+        assert not hasattr(cli, "EXPERIMENTS")
+        assert cli.__all__ == ["main"]
 
     def test_unknown_module_attr_still_raises(self):
         with pytest.raises(AttributeError):

@@ -114,14 +114,20 @@ class TestCli:
     def test_tiny_sweep_with_exports(self, tmp_path, capsys, monkeypatch):
         # Patch fig1 to a minimal configuration so the CLI path is exercised
         # end-to-end in seconds.
+        import dataclasses
+
         import repro.experiments.cli as cli
-        from repro.experiments.fig1_ssaf import Fig1Config, run_fig1
+        from repro.experiments import registry
+        from repro.experiments.fig1_ssaf import Fig1Config, campaign_spec
 
         tiny = Fig1Config(n_nodes=25, terrain_m=500.0, n_connections=2,
                           intervals_s=(2.0,), duration_s=5.0, seeds=(1,))
-        monkeypatch.setitem(
-            cli.EXPERIMENTS, "fig1",
-            (lambda: run_fig1(tiny),) + cli.EXPERIMENTS["fig1"][1:])
+        real_get = registry.get
+        tiny_fig1 = dataclasses.replace(real_get("fig1"),
+                                        spec=lambda: campaign_spec(tiny))
+        monkeypatch.setattr(
+            registry, "get",
+            lambda name: tiny_fig1 if name == "fig1" else real_get(name))
 
         csv_path = tmp_path / "fig1.csv"
         json_path = tmp_path / "fig1.json"
