@@ -76,18 +76,19 @@ def test_channel_fanout(benchmark):
 
 
 def test_link_budget_precompute(benchmark):
-    """The vectorized N×N link budget for a 500-node (paper-scale) network."""
+    """A full link-budget rebuild for a 500-node (paper-scale) network."""
+    from repro.phy.channel import Channel
+    from repro.phy.propagation import range_to_threshold_dbm
+    from repro.sim.components import SimContext
+
     rng = np.random.default_rng(0)
     positions = rng.uniform(0, 2000, size=(500, 2))
     model = FreeSpace()
+    channel = Channel(SimContext(), positions, model, 15.0,
+                      range_to_threshold_dbm(model, 15.0, 250.0))
 
-    def run():
-        diff = positions[:, None, :] - positions[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=-1))
-        return model.rx_power_dbm(15.0, dist)
-
-    out = benchmark(run)
-    assert out.shape == (500, 500)
+    benchmark(channel.set_positions, positions)
+    assert len(channel.reach) == 500
 
 
 def test_hopcount_backoff_draws(benchmark):

@@ -28,8 +28,9 @@ def main() -> None:
     print(sub)
     print("-" * len(sub))
     for protocol in PROTOCOLS:
-        static = run_one(protocol, 0.0, seed=1, config=config)
-        mobile = run_one(protocol, max_speed, seed=1, config=config)
+        static = run_one(protocol, 0.0, seed=1, config=config).to_summary()
+        mobile = run_one(protocol, max_speed, seed=1,
+                         config=config).to_summary()
         print(f"{protocol:>10} | {static.delivery_ratio:>6.3f} "
               f"{static.avg_delay_s:>8.4f} {static.mac_packets:>9} | "
               f"{mobile.delivery_ratio:>6.3f} {mobile.avg_delay_s:>8.4f} "

@@ -136,8 +136,7 @@ def _bench_fig1_cell() -> dict:
     return {"wall_s": wall, "ops": 1, "events": events}
 
 
-def _sparse_channel_2k(link_budget: str = "sparse", n_nodes: int = 2000,
-                       depth_m: float | None = None):
+def _channel_2k(n_nodes: int = 2000, depth_m: float | None = None):
     """A 2k-node channel at the paper's Figure 3 density (untimed setup
     shared by the n=2000 benchmarks).  ``depth_m`` adds a z axis — the
     3-D benchmarks share everything but the extra coordinate."""
@@ -158,18 +157,17 @@ def _sparse_channel_2k(link_budget: str = "sparse", n_nodes: int = 2000,
         positions = np.hstack([positions, altitudes])
     model = FreeSpace()
     threshold = range_to_threshold_dbm(model, 15.0, 250.0)
-    channel = Channel(ctx, positions, model, 15.0, threshold,
-                      link_budget=link_budget)
+    channel = Channel(ctx, positions, model, 15.0, threshold)
     return ctx, channel, positions, rng
 
 
 def _bench_sparse_fanout(transmits: int = 50) -> dict:
-    """Broadcast delivery through the sparse 2k-node link budget — the
-    transmit hot path must not care which representation sits underneath."""
+    """Broadcast delivery through the 2k-node link budget — the transmit
+    hot path must stay an indexed row lookup however large the network."""
     from repro.mac.frame import Frame
     from repro.phy.radio import RadioConfig, Transceiver
 
-    ctx, channel, _positions, _rng = _sparse_channel_2k()
+    ctx, channel, _positions, _rng = _channel_2k()
     config = RadioConfig(tx_power_dbm=15.0,
                          rx_threshold_dbm=channel.reach_threshold_dbm)
     radios = [Transceiver(ctx, i, channel, config)
@@ -188,13 +186,13 @@ def _bench_sparse_fanout(transmits: int = 50) -> dict:
 
 
 def _bench_sparse_fanout_3d(transmits: int = 50) -> dict:
-    """Broadcast delivery through the sparse link budget at n=2000 with a
+    """Broadcast delivery through the link budget at n=2000 with a
     200 m altitude axis — the 27-cell 3-D grid neighborhood vs the 2-D
     benchmark's 9-cell one."""
     from repro.mac.frame import Frame
     from repro.phy.radio import RadioConfig, Transceiver
 
-    ctx, channel, _positions, _rng = _sparse_channel_2k(depth_m=200.0)
+    ctx, channel, _positions, _rng = _channel_2k(depth_m=200.0)
     config = RadioConfig(tx_power_dbm=15.0,
                          rx_threshold_dbm=channel.reach_threshold_dbm)
     radios = [Transceiver(ctx, i, channel, config)
@@ -212,10 +210,9 @@ def _bench_sparse_fanout_3d(transmits: int = 50) -> dict:
 
 
 def _bench_mobility_tick(ticks: int = 5) -> dict:
-    """Incremental sparse update for a full mobility tick at n=2000: every
-    node drifts one tick's worth (~2.5 m).  The ≥10x-vs-dense-rebuild
-    acceptance bar compares this against ``dense_rebuild_2k``."""
-    _ctx, channel, positions, rng = _sparse_channel_2k()
+    """A full mobility tick at n=2000: every node drifts one tick's worth
+    (~2.5 m) through ``move_nodes`` on the grid-indexed path."""
+    _ctx, channel, positions, rng = _channel_2k()
     ids = None
     t0 = time.perf_counter()
     for _ in range(ticks):
@@ -230,15 +227,33 @@ def _bench_mobility_tick(ticks: int = 5) -> dict:
     return {"wall_s": wall, "ops": ticks, "events": 0}
 
 
-def _bench_dense_rebuild(ticks: int = 5) -> dict:
-    """The dense full N×N rebuild the incremental path replaces — kept as
-    a benchmark so the speedup stays visible in the snapshot."""
-    _ctx, channel, positions, rng = _sparse_channel_2k(link_budget="dense")
+def _bench_mobility_tick_uav60(ticks: int = 40) -> dict:
+    """Mobility ticks on the default UAV cell's geometry: 60 nodes in
+    900×900×200 m at the carrier-sense reach, the 6 traffic endpoints
+    frozen, the other 54 drifting ~3 m per tick through ``move_nodes``.
+    The grid is small enough that every cell neighbors every other, so
+    each tick is one all-pairs rebuild — the other side of the small-grid
+    rule from ``mobility_tick_2k``."""
+    import numpy as np
+
+    from repro.experiments.common import ScenarioConfig
+    from repro.phy.channel import Channel
+    from repro.sim.components import SimContext
+
+    scenario = ScenarioConfig(n_nodes=60, width_m=900.0, height_m=900.0,
+                              depth_m=200.0, range_m=250.0)
+    arena = scenario.arena
+    rng = np.random.default_rng(0)
+    positions = arena.sample(rng, scenario.n_nodes)
+    channel = Channel(SimContext(), positions, scenario.propagation,
+                      scenario.tx_power_dbm,
+                      scenario.radio_config().cs_threshold_dbm)
+    ids = np.arange(6, scenario.n_nodes)
     t0 = time.perf_counter()
     for _ in range(ticks):
-        positions = positions + rng.uniform(-2.5, 2.5,
-                                            size=positions.shape)
-        channel.set_positions(positions)
+        positions[ids] = arena.clamp(
+            positions[ids] + rng.uniform(-3.0, 3.0, size=(len(ids), 3)))
+        channel.move_nodes(ids, positions[ids])
     wall = time.perf_counter() - t0
     return {"wall_s": wall, "ops": ticks, "events": 0}
 
@@ -254,10 +269,7 @@ BENCHMARKS: dict[str, tuple[Callable[[], dict], int, int]] = {
     "sparse_fanout_2k": (_bench_sparse_fanout, 5, 2),
     "sparse_fanout_3d_2k": (_bench_sparse_fanout_3d, 5, 2),
     "mobility_tick_2k": (_bench_mobility_tick, 5, 2),
-    # The dense rebuild allocates ~128 MB of matrices per tick, so its
-    # first (cold) repeat can run 30% slow; extra repeats let best-of-k
-    # land on the allocator's steady state.
-    "dense_rebuild_2k": (_bench_dense_rebuild, 5, 3),
+    "mobility_tick_uav60": (_bench_mobility_tick_uav60, 7, 3),
 }
 
 

@@ -96,11 +96,6 @@ class ScenarioConfig:
     shadowing_sigma_db: float = 0.0
     #: Draw each link direction independently: creates unidirectional links.
     shadowing_asymmetric: bool = False
-    #: Channel link-budget representation: ``"dense"``, ``"sparse"`` or
-    #: ``"auto"`` (sparse above ~1k nodes; see :mod:`repro.phy.channel`).
-    #: Both produce bit-identical results, so this is purely a
-    #: speed/memory knob.
-    link_budget: str = "auto"
 
     @property
     def arena(self) -> Arena:
@@ -189,7 +184,6 @@ def build_network(
         reach_threshold_dbm=radio_config.cs_threshold_dbm,
         shadowing_sigma_db=scenario.shadowing_sigma_db,
         shadowing_asymmetric=scenario.shadowing_asymmetric,
-        link_budget=scenario.link_budget,
     )
     mac_config = mac_config if mac_config is not None else MacConfig()
     metrics = MetricsCollector()

@@ -17,16 +17,13 @@ dataclass:
   bit-identical simulations are *equal* even though their wall clocks
   differ).
 
-Legacy call sites that read summary attributes off a ``run_one`` return
-value (``result.delivery_ratio`` …) keep working through a deprecation
-passthrough; the supported spellings are ``result.metrics["delivery_ratio"]``
-or ``result.to_summary()``.
+Read a measurement as ``result.metrics["delivery_ratio"]``, or take the
+classic summary view with ``result.to_summary()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -99,18 +96,3 @@ class ExperimentResult:
                    fingerprint=str(payload.get("fingerprint", "")),
                    seed=int(payload.get("seed", 0)),
                    wall_s=float(payload.get("wall_s", 0.0)))
-
-    # ---------------------------------------------------- deprecation shim
-
-    def __getattr__(self, name: str):
-        # Only consulted for attributes the dataclass doesn't define:
-        # legacy summary-attribute access (result.delivery_ratio ...).
-        metrics = object.__getattribute__(self, "metrics")
-        if name in metrics:
-            warnings.warn(
-                f"reading .{name} off an ExperimentResult is deprecated; "
-                f"use result.metrics[{name!r}] or result.to_summary()",
-                DeprecationWarning, stacklevel=2)
-            return metrics[name]
-        raise AttributeError(
-            f"{type(self).__name__!s} has no attribute {name!r}")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any, ClassVar, Iterable, Optional
@@ -83,6 +84,13 @@ class FaultSpec:
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below and an infinite
+        # offset cancels to NaN, so float fields must be finite.
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{self.kind}: {field.name} must be "
+                                 f"finite, got {value}")
         if self.start_s < 0:
             raise ValueError("start_s must be non-negative")
         if self.nodes is not None:

@@ -7,23 +7,17 @@ plus one scheduler call per reachable neighbor.  "Reachable" means
 threshold gets the frame's leading and trailing edges, because carrier
 sensing by non-decoders is part of the protocols' behaviour.
 
-Two interchangeable link-budget representations exist (``link_budget=``):
-
-* ``"dense"`` — the full N×N distance/power/delay matrices, vectorized in
-  one numpy pass.  Simple, and exposes the matrices (``distance_m``,
-  ``rx_power_dbm``, ``delay_s``) for inspection; O(n²) memory and rebuild
-  time, which caps topologies at a few thousand nodes.
-* ``"sparse"`` — a uniform-grid spatial index (:mod:`repro.phy.spatial`)
-  sized to the reach radius, storing only per-source CSR-style
-  reach/power/delay arrays for pairs that can actually hear each other:
-  O(n·k) in the local density k.  Mobility ticks go through
-  :meth:`move_nodes`, which re-bins the moved nodes and recomputes only
-  the affected grid neighborhoods.  Both representations produce
-  bit-identical reach lists, powers and delays (the golden-equivalence
-  tests pin this), so results never depend on the choice.
-
-``"auto"`` (the default) picks sparse for large shadowing-free topologies
-and dense otherwise.
+The link budget is stored per source, CSR-style: for each node, the
+receivers that can sense it (``reach``), their received powers and their
+propagation delays — nothing for pairs that cannot hear each other.
+Candidate pairs come from a uniform-grid spatial index
+(:mod:`repro.phy.spatial`) whose cells are as wide as the reach radius, so
+a rebuild costs O(n·k) in the local density k; on small deployments, where
+every cell neighbors every other, the grid hands back all pairs at once.
+Mobility ticks go through :meth:`move_nodes`, which re-bins the moved
+nodes and recomputes only the affected grid neighborhoods.  Per-link
+shadowing and fault offsets are added to the same rows, and the radius
+widens by the largest positive shadowing draw so no boosted link is lost.
 
 Per-link propagation delay (distance / c) is modelled by default.  The paper
 treats it as negligible — and at these scales it is (µs against ms-scale
@@ -52,12 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.frame import Frame
     from repro.phy.radio import Transceiver
 
-__all__ = ["Channel", "AUTO_SPARSE_MIN_NODES", "NEIGHBOR_CACHE_THRESHOLDS"]
-
-#: ``link_budget="auto"`` switches to the sparse representation at this many
-#: nodes (dense wins below it: the matrices are small and the vectorized
-#: full-matrix pass has less per-call overhead).
-AUTO_SPARSE_MIN_NODES = 1024
+__all__ = ["Channel", "NEIGHBOR_CACHE_THRESHOLDS"]
 
 #: Distinct explicit thresholds memoized by :meth:`Channel.neighbors` before
 #: the least-recently-used one is evicted — bounds the cache under
@@ -87,11 +76,11 @@ class Channel(Component):
         network; radios discard what they cannot even sense.
     propagation_delay:
         Model per-link delay of ``distance / c`` when True.
-    link_budget:
-        ``"dense"``, ``"sparse"`` or ``"auto"`` (see the module docstring).
-        Per-link shadowing requires the dense representation (the shadowing
-        draw is itself an N×N matrix); ``"auto"`` respects that,
-        ``"sparse"`` raises.
+    shadowing_sigma_db:
+        Standard deviation of per-link log-normal shadowing (dB); 0
+        disables it.
+    shadowing_asymmetric:
+        Draw each link direction independently (unidirectional links).
     """
 
     def __init__(
@@ -104,7 +93,6 @@ class Channel(Component):
         propagation_delay: bool = True,
         shadowing_sigma_db: float = 0.0,
         shadowing_asymmetric: bool = False,
-        link_budget: str = "auto",
     ):
         super().__init__(ctx, "channel")
         positions = np.asarray(positions, dtype=float)
@@ -113,15 +101,6 @@ class Channel(Component):
                 f"positions must be (N, 2) or (N, 3), got {positions.shape}")
         if shadowing_sigma_db < 0:
             raise ValueError("shadowing_sigma_db must be non-negative")
-        if link_budget not in ("dense", "sparse", "auto"):
-            raise ValueError(
-                f"link_budget must be 'dense', 'sparse' or 'auto', "
-                f"got {link_budget!r}")
-        if link_budget == "sparse" and shadowing_sigma_db > 0:
-            raise ValueError(
-                "the sparse link budget does not support per-link shadowing "
-                "(the shadowing draw is an N×N matrix); use link_budget="
-                "'dense' or 'auto'")
         self.model = model
         self.tx_power_dbm = float(tx_power_dbm)
         self.reach_threshold_dbm = float(reach_threshold_dbm)
@@ -129,15 +108,6 @@ class Channel(Component):
         self.n_nodes = len(positions)
         #: Coordinate dimensionality (2 or 3), fixed at construction.
         self.dim = int(positions.shape[1])
-        #: Requested representation ("dense" | "sparse" | "auto").
-        self.link_budget_mode = link_budget
-        #: Resolved representation actually in use ("dense" | "sparse").
-        self.link_budget = (
-            "sparse" if link_budget == "sparse"
-            or (link_budget == "auto"
-                and self.n_nodes >= AUTO_SPARSE_MIN_NODES
-                and shadowing_sigma_db == 0)
-            else "dense")
 
         #: Per-link log-normal shadowing (dB), fixed per link for the run.
         #: Symmetric by default; asymmetric shadowing produces the
@@ -154,6 +124,11 @@ class Channel(Component):
             self.shadowing_db = raw
         else:
             self.shadowing_db = None
+        # No pair gains more than the largest draw, so every reach radius
+        # is taken at a floor lowered by it.
+        self._shadow_headroom_db = (
+            0.0 if self.shadowing_db is None
+            else max(float(self.shadowing_db.max()), 0.0))
 
         # With stochastic fading a deep fade can only lose frames, never
         # extend reach beyond +fade_headroom_db; reach lists are widened by
@@ -165,28 +140,18 @@ class Channel(Component):
         #: ``offsets[i, j]`` (or ``offsets[(i, j)]`` in mapping form) is
         #: added to the i→j link budget, so a negative value degrades the
         #: link and ``-inf``-like values sever it; asymmetric offsets give
-        #: unidirectional links.  Dense mode keeps the matrix; sparse mode
-        #: keeps only the offset-bearing pairs.
-        self._link_offset_db: np.ndarray | None = None
+        #: unidirectional links.  Only the offset-bearing pairs are kept.
         self._offset_pairs: dict[tuple[int, int], float] = {}
         self._offset_pk: np.ndarray = _EMPTY_IDS  # sorted i*n+j keys
         self._offset_vals: np.ndarray = _EMPTY_F64
         self._offset_src: np.ndarray = _EMPTY_IDS
 
-        # Sparse machinery (populated by set_positions in sparse mode).
+        # Grid index (built by set_positions), its cell size the radius
+        # beyond which no pair clears the reach floor.
         self._grid: UniformGrid | None = None
-        self._candidate_radius_m = 0.0
         self._threshold_radius: dict[float, float] = {}
-        if self.link_budget == "sparse":
-            self._candidate_radius_m = model.max_range_m(
-                self.tx_power_dbm,
-                self.reach_threshold_dbm - self._headroom_db)
-            self.reach: list[np.ndarray] = [_EMPTY_IDS] * self.n_nodes
-            self._reach_power_arrays: list[np.ndarray] = \
-                [_EMPTY_F64] * self.n_nodes
-            self._reach_ids: list[list] = [[]] * self.n_nodes
-            self._reach_powers: list[list] = [[]] * self.n_nodes
-            self._reach_delays: list[list] = [[]] * self.n_nodes
+        self._candidate_radius_m = self._radius_for_threshold(
+            self.reach_threshold_dbm - self._headroom_db)
 
         #: LRU memo for explicit-threshold :meth:`neighbors` queries:
         #: threshold -> {node_id -> ids}, bounded to
@@ -217,13 +182,12 @@ class Channel(Component):
     def set_positions(self, positions: np.ndarray) -> None:
         """(Re)compute the link budget for new node positions.
 
-        Called at construction and on wholesale placement changes.  Dense
-        mode recomputes the full N×N matrices in one vectorized pass;
-        sparse mode re-bins the grid and rebuilds every per-source row
-        (still O(n·k)).  Mobility managers should prefer :meth:`move_nodes`,
-        which only touches the affected neighborhoods.  Frames already in
-        flight keep the power they were launched with (mobility ticks are
-        coarse against packet airtimes).
+        Called at construction and on wholesale placement changes: re-bins
+        the grid and rebuilds every per-source row (O(n·k)).  Mobility
+        managers should prefer :meth:`move_nodes`, which only touches the
+        affected neighborhoods.  Frames already in flight keep the power
+        they were launched with (mobility ticks are coarse against packet
+        airtimes).
         """
         positions = np.asarray(positions, dtype=float)
         if positions.shape != (self.n_nodes, self.dim):
@@ -231,24 +195,21 @@ class Channel(Component):
                 f"positions must be ({self.n_nodes}, {self.dim}) for this "
                 f"{self.dim}-D channel, got {positions.shape}")
         self.positions = positions.copy()
-        if self.link_budget == "sparse":
-            self._rebin_grid()
-            self._rebuild_sources(None)
-        else:
-            self._rebuild_dense_geometry()
-            self._rebuild_dense_power()
+        self._rebin_grid()
+        self._rebuild_sources(None)
         self._after_rebuild()
 
     def move_nodes(self, ids, new_positions) -> None:
         """Incremental mobility update: ``ids`` moved to ``new_positions``.
 
-        Sparse mode re-bins only the moved nodes and recomputes the link
-        budget solely for sources whose grid neighborhood contained a moved
-        node before or after the move — everyone else's rows are untouched,
-        so a tick where a fraction of the network moves costs a fraction of
-        a rebuild.  Dense mode falls back to the full recomputation (the
-        matrices are monolithic).  Results are identical to a full
-        :meth:`set_positions` with the same final positions.
+        Re-bins the moved nodes and recomputes the link budget solely for
+        sources whose grid neighborhood contained a moved node before or
+        after the move — everyone else's rows are untouched, so a tick
+        where a fraction of the network moves costs a fraction of a
+        rebuild.  On a grid small enough that every cell neighbors every
+        other, the affected set is everyone and this is one full rebuild.
+        Results are identical to a full :meth:`set_positions` with the
+        same final positions.
         """
         ids = np.asarray(ids, dtype=np.int64)
         new_positions = np.asarray(new_positions, dtype=float)
@@ -258,14 +219,8 @@ class Channel(Component):
                 f"{self.dim}-D channel, got {new_positions.shape}")
         if len(ids) == 0:
             return
-        if len(ids) and (ids.min() < 0 or ids.max() >= self.n_nodes):
+        if ids.min() < 0 or ids.max() >= self.n_nodes:
             raise ValueError(f"node ids out of range 0..{self.n_nodes - 1}")
-        if self.link_budget != "sparse":
-            self.positions[ids] = new_positions
-            self._rebuild_dense_geometry()
-            self._rebuild_dense_power()
-            self._after_rebuild()
-            return
         assert self._grid is not None
         if len(ids) >= self.n_nodes:
             # Everyone moved: the affected set is everyone by definition,
@@ -295,30 +250,16 @@ class Channel(Component):
 
         Fault-injection entry point.  Accepts a full N×N matrix or a sparse
         ``{(i, j): db}`` mapping.  Positions are unchanged by definition, so
-        neither representation recomputes geometry: dense mode re-derives
-        power/reach from the cached distance matrix (no pathloss model
-        evaluation), sparse mode rebuilds only the rows of sources that
-        carry an offset before or after this call.  Frames already in
-        flight keep the power they were launched with.
+        only the rows of sources that carry an offset before or after this
+        call are rebuilt.  Frames already in flight keep the power they
+        were launched with.
         """
         pairs = self._normalize_offsets(offsets_db)
-        if self.link_budget == "sparse":
-            changed = {i for i, _ in self._offset_pairs} | \
-                      {i for i, _ in pairs}
-            self._store_sparse_offsets(pairs)
-            if changed:
-                self._rebuild_sources(
-                    np.fromiter(changed, dtype=np.int64, count=len(changed)))
-        else:
-            if pairs:
-                matrix = np.zeros((self.n_nodes, self.n_nodes))
-                for (i, j), db in pairs.items():
-                    matrix[i, j] = db
-                self._link_offset_db = matrix
-            else:
-                self._link_offset_db = None
-            self._offset_pairs = dict(pairs)
-            self._rebuild_dense_power()
+        changed = {i for i, _ in self._offset_pairs} | {i for i, _ in pairs}
+        self._store_offsets(pairs)
+        if changed:
+            self._rebuild_sources(
+                np.fromiter(changed, dtype=np.int64, count=len(changed)))
         self._after_rebuild()
 
     def _normalize_offsets(self, offsets_db) -> dict[tuple[int, int], float]:
@@ -331,19 +272,21 @@ class Channel(Component):
                     f"offsets must be ({self.n_nodes}, {self.n_nodes}), "
                     f"got {offsets_db.shape}")
             rows, cols = np.nonzero(offsets_db)
-            return {(int(i), int(j)): float(offsets_db[i, j])
-                    for i, j in zip(rows, cols)}
+            offsets_db = {(i, j): offsets_db[i, j]
+                          for i, j in zip(rows.tolist(), cols.tolist())}
         pairs: dict[tuple[int, int], float] = {}
         for (i, j), db in dict(offsets_db).items():
-            i, j = int(i), int(j)
+            i, j, db = int(i), int(j), float(db)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(
                     f"offset pair ({i}, {j}) outside 0..{self.n_nodes - 1}")
+            if math.isnan(db):
+                raise ValueError(f"offset for pair ({i}, {j}) is NaN")
             if db != 0.0:
-                pairs[(i, j)] = float(db)
+                pairs[(i, j)] = db
         return pairs
 
-    def _store_sparse_offsets(self, pairs: dict[tuple[int, int], float]) -> None:
+    def _store_offsets(self, pairs: dict[tuple[int, int], float]) -> None:
         self._offset_pairs = dict(pairs)
         if pairs:
             n = self.n_nodes
@@ -366,53 +309,7 @@ class Channel(Component):
             raise ValueError(f"node {radio.node_id} already registered")
         self._radios[radio.node_id] = radio
 
-    # ----------------------------------------------------- dense link budget
-
-    def _rebuild_dense_geometry(self) -> None:
-        """Distances, delays and the offset-free power matrix — the
-        expensive vectorized pass, skipped when only offsets change."""
-        positions = self.positions
-        diff = positions[:, None, :] - positions[None, :, :]
-        self.distance_m = np.sqrt((diff**2).sum(axis=-1))
-        base = self.model.rx_power_dbm(self.tx_power_dbm, self.distance_m)
-        if self.shadowing_db is not None:
-            base = base + self.shadowing_db
-        self._base_power_dbm = base
-
-        # Per-link propagation delay, cached once per placement instead of
-        # dividing by c on every transmit.
-        if self._propagation_delay:
-            self.delay_s = self.distance_m / SPEED_OF_LIGHT
-        else:
-            self.delay_s = np.zeros_like(self.distance_m)
-
-    def _rebuild_dense_power(self) -> None:
-        """Fold offsets into the cached base power and re-derive the reach
-        lists — the cheap half of a dense rebuild, sufficient on its own
-        for fault transitions (positions unchanged)."""
-        if self._link_offset_db is not None:
-            self.rx_power_dbm = self._base_power_dbm + self._link_offset_db
-        else:
-            self.rx_power_dbm = self._base_power_dbm
-
-        # reach[i] = receiver ids whose mean rx power from i clears the
-        # floor (self excluded), widened by the stochastic fade headroom.
-        reachable = self.rx_power_dbm >= (self.reach_threshold_dbm
-                                          - self._headroom_db)
-        np.fill_diagonal(reachable, False)
-        self.reach = [np.flatnonzero(reachable[i]) for i in range(self.n_nodes)]
-
-        # Hot-path mirrors of the per-source slices: transmit() iterates
-        # plain Python lists (no numpy scalar boxing per receiver) and, for
-        # stochastic models, adds the fade to a pre-sliced power array.
-        self._reach_ids = [r.tolist() for r in self.reach]
-        self._reach_power_arrays = [self.rx_power_dbm[i, r]
-                                    for i, r in enumerate(self.reach)]
-        self._reach_powers = [p.tolist() for p in self._reach_power_arrays]
-        self._reach_delays = [self.delay_s[i, r].tolist()
-                              for i, r in enumerate(self.reach)]
-
-    # ---------------------------------------------------- sparse link budget
+    # ------------------------------------------------------------ link budget
 
     def _rebin_grid(self) -> None:
         cell = max(self._candidate_radius_m, 1.0)
@@ -436,9 +333,9 @@ class Channel(Component):
 
         ``sources=None`` rebuilds every row (fresh structures); an id array
         patches only those rows in place.  One vectorized pass over the
-        candidate pairs either way — the same arithmetic, in the same
-        elementwise order, as the dense matrices, so the surviving values
-        are bit-identical to the dense representation's.
+        candidate pairs either way.  Each surviving power is
+        ``(pathloss + shadowing) + offset`` in that order, so a row does not
+        depend on which rebuild produced it.
         """
         assert self._grid is not None
         n = self.n_nodes
@@ -469,10 +366,8 @@ class Channel(Component):
         dsts = pk % n
 
         # 1-D per-axis gathers beat fancy-indexing (k, dim) rows by a wide
-        # margin, and the left-to-right ``dx*dx + dy*dy [+ dz*dz]`` sum is
-        # bit-identical to the dense matrix's ``(diff**2).sum(axis=-1)``
-        # (numpy's axis sum over 2 or 3 elements is the same sequential
-        # addition order).
+        # margin; the left-to-right ``dx*dx + dy*dy [+ dz*dz]`` sum is the
+        # same addition order as ``(diff**2).sum(axis=-1)``.
         pos = self.positions
         axes = [np.ascontiguousarray(pos[:, a]) for a in range(self.dim)]
         d2 = None
@@ -493,6 +388,8 @@ class Channel(Component):
             pk = pk[within]
         dist = np.sqrt(d2)
         power = self.model.rx_power_dbm(self.tx_power_dbm, dist)
+        if self.shadowing_db is not None:
+            power = power + self.shadowing_db[srcs, dsts]
         if len(self._offset_pk):
             power = power + self._offsets_for_keys(pk)
         keep = power >= (self.reach_threshold_dbm - self._headroom_db)
@@ -541,10 +438,8 @@ class Channel(Component):
     # ------------------------------------------------------------- accessors
 
     def pair_distance_m(self, src_id: int, dst_id: int) -> float:
-        """Distance between two nodes, independent of representation (the
-        dense matrix entry and this scalar computation are bit-identical)."""
-        if self.link_budget != "sparse":
-            return float(self.distance_m[src_id, dst_id])
+        """Distance between two nodes, summed in the same axis order as the
+        link-budget rows."""
         p = self.positions
         d2 = 0.0
         for axis in range(self.dim):
@@ -556,28 +451,18 @@ class Channel(Component):
         """Approximate bytes held by the link-budget representation —
         what the ``repro_channel_link_budget_bytes`` gauge reports."""
         total = 0
-        if self.link_budget == "sparse":
-            for row in self.reach:
-                total += row.nbytes
-            for row in self._reach_power_arrays:
-                total += row.nbytes
-            # Python-list mirrors: ~8-byte slot per element, three lists
-            # (the boxed floats/ints they reference are shared or cached).
-            total += sum(len(r) for r in self._reach_ids) * 3 * 8
-            total += self.positions.nbytes
-            if self._grid is not None:
-                total += self._grid.index_bytes()
-        else:
-            seen: set[int] = set()
-            for arr in (self.distance_m, self._base_power_dbm,
-                        self.rx_power_dbm, self.delay_s, self.shadowing_db,
-                        self._link_offset_db):
-                if arr is not None and id(arr) not in seen:
-                    seen.add(id(arr))
-                    total += arr.nbytes
-            for row in self._reach_power_arrays:
-                total += row.nbytes
-            total += sum(len(r) for r in self._reach_ids) * 3 * 8
+        for row in self.reach:
+            total += row.nbytes
+        for row in self._reach_power_arrays:
+            total += row.nbytes
+        # Python-list mirrors: ~8-byte slot per element, three lists
+        # (the boxed floats/ints they reference are shared or cached).
+        total += sum(len(r) for r in self._reach_ids) * 3 * 8
+        total += self.positions.nbytes
+        if self._grid is not None:
+            total += self._grid.index_bytes()
+        if self.shadowing_db is not None:
+            total += self.shadowing_db.nbytes
         return total
 
     def _after_rebuild(self) -> None:
@@ -586,18 +471,21 @@ class Channel(Component):
             self.ctx.obs.on_link_budget(self.link_budget_bytes())
 
     def _radius_for_threshold(self, threshold_dbm: float) -> float:
+        """Distance beyond which no pair's power, shadowing included,
+        clears ``threshold_dbm`` (memoized per threshold)."""
         radius = self._threshold_radius.get(threshold_dbm)
         if radius is None:
-            radius = self.model.max_range_m(self.tx_power_dbm, threshold_dbm)
+            radius = self.model.max_range_m(
+                self.tx_power_dbm, threshold_dbm - self._shadow_headroom_db)
             if len(self._threshold_radius) >= NEIGHBOR_CACHE_THRESHOLDS:
                 self._threshold_radius.clear()
             self._threshold_radius[threshold_dbm] = radius
         return radius
 
-    def _sparse_neighbors(self, node_id: int, threshold_dbm: float) -> np.ndarray:
+    def _neighbors_at(self, node_id: int, threshold_dbm: float) -> np.ndarray:
         """Explicit-threshold neighbor query against the grid: widen the
         cell neighborhood to the threshold's own radius, then apply the
-        exact power test the dense row comparison would."""
+        exact power test the rebuild applies."""
         assert self._grid is not None
         radius = self._radius_for_threshold(threshold_dbm)
         cell = self._grid.cell_size_m
@@ -616,6 +504,8 @@ class Channel(Component):
         diff = pos[node_id] - pos[dsts]
         dist = np.sqrt((diff**2).sum(axis=-1))
         power = self.model.rx_power_dbm(self.tx_power_dbm, dist)
+        if self.shadowing_db is not None:
+            power = power + self.shadowing_db[node_id, dsts]
         if len(self._offset_pk):
             power = power + self._offsets_for_keys(pk)
         return dsts[power >= threshold_dbm]
@@ -642,11 +532,7 @@ class Channel(Component):
             self._neighbors_cache.move_to_end(threshold_dbm)
         cached = per_threshold.get(node_id)
         if cached is None:
-            if self.link_budget == "sparse":
-                cached = self._sparse_neighbors(node_id, threshold_dbm)
-            else:
-                ids = np.flatnonzero(self.rx_power_dbm[node_id] >= threshold_dbm)
-                cached = ids[ids != node_id]
+            cached = self._neighbors_at(node_id, threshold_dbm)
             per_threshold[node_id] = cached
         return cached
 
@@ -658,7 +544,7 @@ class Channel(Component):
         Called by the source transceiver, which has already entered TX.
         The per-source receiver/power/delay slices are precomputed by the
         link-budget rebuilds; this method is an indexed lookup plus one
-        batched schedule call, identical under either representation.
+        batched schedule call.
         """
         kind = frame.kind
         self.tx_count += 1

@@ -1,6 +1,6 @@
 """Uniform-grid spatial index over 2-D or 3-D node positions.
 
-The sparse link budget (:mod:`repro.phy.channel`) and the large-topology
+The channel's link budget (:mod:`repro.phy.channel`) and the large-topology
 connectivity check (:mod:`repro.topology.placement`) both need the same
 primitive: *which nodes sit within radius r of this node*, answered without
 materializing the O(n²) pairwise-distance matrix.  :class:`UniformGrid`
@@ -75,8 +75,7 @@ class UniformGrid:
         self._cells = cells
         self._ncells = [int(c.max()) + 1 for c in cells]
         # Mixed-radix linear key: for 2-D exactly the historical
-        # ``cx * ncy + cy``, so 2-D candidate order (and therefore the
-        # sparse link budget's bit-identity guarantee) is unchanged.
+        # ``cx * ncy + cy``, so 2-D candidate order is unchanged.
         keys = cells[0]
         for c, nc in zip(cells[1:], self._ncells[1:]):
             keys = keys * nc + c
@@ -94,12 +93,21 @@ class UniformGrid:
         cell neighborhood of its source (self-pairs excluded).  Pairs come
         back unsorted and deduplicated-by-construction (neighbor cells are
         disjoint); callers typically sort/filter downstream.
+
+        When no axis spans more than ``reach_cells + 1`` cells, every
+        cell's neighborhood is the whole grid, so the answer is every pair:
+        emitted in one repeat/tile, sorted by ``(src position, dst)``,
+        instead of one pass per neighbor-cell offset.  This also bounds
+        the loop for radii wider than the whole grid.
         """
         sources = np.asarray(sources, dtype=np.int64)
         if self.n == 0 or len(sources) == 0:
             return _EMPTY, _EMPTY
-        # A pathological radius can exceed the whole grid; clamp the loop.
-        reach_cells = min(int(reach_cells), max(self._ncells))
+        if self._spans_grid(reach_cells):
+            srcs = np.repeat(sources, self.n)
+            dsts = np.tile(np.arange(self.n, dtype=np.int64), len(sources))
+            keep = srcs != dsts
+            return srcs[keep], dsts[keep]
         src_cells = [c[sources] for c in self._cells]
         offsets = range(-reach_cells, reach_cells + 1)
         out_src: list[np.ndarray] = []
@@ -145,8 +153,14 @@ class UniformGrid:
         ``ids`` themselves) — the set whose link-budget rows a move of
         ``ids`` can possibly change."""
         ids = np.asarray(ids, dtype=np.int64)
+        if len(ids) and self._spans_grid(reach_cells):
+            return np.arange(self.n, dtype=np.int64)
         _, dsts = self.candidates(ids, reach_cells=reach_cells)
         return np.union1d(dsts, ids)
+
+    def _spans_grid(self, reach_cells: int) -> bool:
+        """True when one cell's neighborhood covers the whole grid."""
+        return max(self._ncells) <= reach_cells + 1
 
     def index_bytes(self) -> int:
         """Approximate bytes held by the index arrays (for the channel's

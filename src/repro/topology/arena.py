@@ -117,11 +117,11 @@ class Arena:
 
 def as_arena(arena: "Arena | tuple | None", width_m=None,
              height_m=None, depth_m=None) -> Arena:
-    """Coerce the mixed legacy/new argument forms into an :class:`Arena`.
+    """Coerce an arena-like argument into an :class:`Arena`.
 
-    Shared by the deprecation shims: an existing :class:`Arena` passes
-    through, a ``(w, h[, d])`` tuple converts, and bare ``width_m`` /
-    ``height_m`` keywords build a 2-D arena.
+    An existing :class:`Arena` passes through, a ``(w, h[, d])`` tuple
+    converts, and bare ``width_m`` / ``height_m`` keywords build a 2-D
+    arena.
     """
     if arena is not None:
         if isinstance(arena, Arena):

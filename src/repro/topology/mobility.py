@@ -20,17 +20,15 @@ and pushes the new positions into the channel through the incremental
 (default 0.25 s) relative to packet airtimes, the usual discrete-mobility
 approximation.
 
-Geometry comes from an :class:`~repro.topology.arena.Arena` (keyword-only);
-the legacy positional ``width_m, height_m`` spelling keeps working for one
-release behind a :class:`DeprecationWarning` shim.  Models register
-themselves in a small name registry (:func:`mobility_model`), so campaigns
-can sweep the mobility model as an axis the same way the experiment
-registry lets them sweep experiments.
+Geometry comes from an :class:`~repro.topology.arena.Arena`, passed as
+``arena=`` (or the first positional after the channel) or carried by the
+config.  Models register themselves in a small name registry
+(:func:`mobility_model`), so campaigns can sweep the mobility model as an
+axis the same way the experiment registry lets them sweep experiments.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
@@ -119,73 +117,21 @@ class GaussMarkovConfig:
             raise ValueError("max_pitch_rad must be positive")
 
 
-def _resolve_geometry(cls_name: str, args: tuple, arena, config, frozen,
-                      width_m, height_m):
-    """Parse the mixed legacy/new constructor forms.
-
-    Canonical: ``Model(ctx, channel, arena=Arena(...), config=...,
-    frozen=...)`` (an Arena is also accepted as the first positional).
-    Deprecated: ``Model(ctx, channel, width_m, height_m[, config[,
-    frozen]])`` and the ``width_m=/height_m=`` keywords.
-    """
-    args = list(args)
-    if args and isinstance(args[0], Arena):
-        if arena is not None:
-            raise TypeError(f"{cls_name}: arena passed twice")
-        arena = args.pop(0)
-    elif args and isinstance(args[0], (int, float)):
-        if len(args) < 2 or not isinstance(args[1], (int, float)):
-            raise TypeError(
-                f"{cls_name}: legacy positional form needs both width_m "
-                f"and height_m")
-        w, h = args.pop(0), args.pop(0)
-        warnings.warn(
-            f"{cls_name}(ctx, channel, width_m, height_m, ...) is "
-            f"deprecated; pass {cls_name}(ctx, channel, "
-            f"arena=Arena(width_m, height_m), ...) instead",
-            DeprecationWarning, stacklevel=4)
-        arena = Arena(float(w), float(h))
-    if args:
-        if config is not None:
-            raise TypeError(f"{cls_name}: config passed twice")
-        config = args.pop(0)
-    if args:
-        frozen = args.pop(0)
-    if args:
-        raise TypeError(f"{cls_name}: too many positional arguments")
-    if width_m is not None or height_m is not None:
-        if arena is not None:
-            raise TypeError(f"{cls_name}: pass either arena= or "
-                            f"width_m=/height_m=, not both")
-        if width_m is None or height_m is None:
-            raise TypeError(f"{cls_name}: width_m and height_m go together")
-        warnings.warn(
-            f"{cls_name}(..., width_m=, height_m=) is deprecated; pass "
-            f"arena=Arena(width_m, height_m) instead",
-            DeprecationWarning, stacklevel=4)
-        arena = Arena(float(width_m), float(height_m))
-    if arena is None and config is not None:
-        arena = getattr(config, "arena", None)
-    if arena is None:
-        raise TypeError(f"{cls_name} requires an arena (arena=Arena(...) "
-                        f"or config with one)")
-    return arena, config, frozen
-
-
 class _MobilityBase(Component):
     """Shared tick loop: advance all mobile nodes, push positions to the
     channel through the incremental ``move_nodes`` path."""
 
     _default_config: Callable = MobilityConfig
 
-    def __init__(self, ctx: SimContext, channel: "Channel", *args,
-                 arena: Arena | None = None, config=None,
-                 frozen: Iterable[int] = (), name: str = "mobility",
-                 width_m: float | None = None, height_m: float | None = None):
+    def __init__(self, ctx: SimContext, channel: "Channel",
+                 arena: Arena | None = None, *, config=None,
+                 frozen: Iterable[int] = (), name: str = "mobility"):
         super().__init__(ctx, name)
-        arena, config, frozen = _resolve_geometry(
-            type(self).__name__, args, arena, config, frozen,
-            width_m, height_m)
+        if arena is None and config is not None:
+            arena = config.arena
+        if not isinstance(arena, Arena):
+            raise TypeError(f"{type(self).__name__} requires an arena "
+                            f"(arena=Arena(...) or a config with one)")
         self.channel = channel
         self.arena = arena
         if channel.dim != arena.dim:
@@ -213,7 +159,7 @@ class _MobilityBase(Component):
         self.distance_moved_m += np.linalg.norm(self.positions - before, axis=1)
         self.ticks += 1
         # Incremental channel update: only the nodes that actually moved this
-        # tick (paused / frozen nodes sat still) — the sparse link budget
+        # tick (paused / frozen nodes sat still) — the link budget
         # recomputes just their grid neighborhoods, and a tick where nothing
         # moved costs nothing at all.
         moved = np.flatnonzero(np.any(self.positions != before, axis=1))
@@ -228,14 +174,12 @@ class _MobilityBase(Component):
 class RandomWaypoint(_MobilityBase):
     """The random waypoint model (2-D or 3-D: waypoints sample the arena)."""
 
-    def __init__(self, ctx: SimContext, channel: "Channel", *args,
-                 arena: Arena | None = None,
+    def __init__(self, ctx: SimContext, channel: "Channel",
+                 arena: Arena | None = None, *,
                  config: MobilityConfig | None = None,
-                 frozen: Iterable[int] = (),
-                 width_m: float | None = None, height_m: float | None = None):
-        super().__init__(ctx, channel, *args, arena=arena, config=config,
-                         frozen=frozen, name="mobility.rwp",
-                         width_m=width_m, height_m=height_m)
+                 frozen: Iterable[int] = ()):
+        super().__init__(ctx, channel, arena, config=config, frozen=frozen,
+                         name="mobility.rwp")
         self.waypoints = self._draw_waypoints(self.n)
         self.speeds = self._draw_speeds(self.n)
         self.pause_until = np.zeros(self.n)
@@ -275,14 +219,12 @@ class RandomWaypoint(_MobilityBase):
 class RandomWalk(_MobilityBase):
     """Random direction walk with boundary reflection (2-D or 3-D)."""
 
-    def __init__(self, ctx: SimContext, channel: "Channel", *args,
-                 arena: Arena | None = None,
+    def __init__(self, ctx: SimContext, channel: "Channel",
+                 arena: Arena | None = None, *,
                  config: MobilityConfig | None = None,
-                 frozen: Iterable[int] = (),
-                 width_m: float | None = None, height_m: float | None = None):
-        super().__init__(ctx, channel, *args, arena=arena, config=config,
-                         frozen=frozen, name="mobility.rw",
-                         width_m=width_m, height_m=height_m)
+                 frozen: Iterable[int] = ()):
+        super().__init__(ctx, channel, arena, config=config, frozen=frozen,
+                         name="mobility.rw")
         self.velocities = self._draw_velocities(self.n)
         self._epoch_end = self.config.epoch_s
 
@@ -344,15 +286,13 @@ class GaussMarkov3D(_MobilityBase):
 
     _default_config = GaussMarkovConfig
 
-    def __init__(self, ctx: SimContext, channel: "Channel", *args,
-                 arena: Arena | None = None,
+    def __init__(self, ctx: SimContext, channel: "Channel",
+                 arena: Arena | None = None, *,
                  config: GaussMarkovConfig | None = None,
                  alpha: "float | np.ndarray | None" = None,
-                 frozen: Iterable[int] = (),
-                 width_m: float | None = None, height_m: float | None = None):
-        super().__init__(ctx, channel, *args, arena=arena, config=config,
-                         frozen=frozen, name="mobility.gm3d",
-                         width_m=width_m, height_m=height_m)
+                 frozen: Iterable[int] = ()):
+        super().__init__(ctx, channel, arena, config=config, frozen=frozen,
+                         name="mobility.gm3d")
         if self.arena.dim != 3:
             raise ValueError(
                 "GaussMarkov3D needs a 3-D arena (Arena(w, h, depth_m=...)); "

@@ -10,13 +10,11 @@ protocol).
 Geometry comes from an :class:`~repro.topology.arena.Arena` — 2-D terrains
 and 3-D deployment volumes run through the same generators, and every
 distance predicate below sums squared deltas over however many axes the
-positions carry.  The legacy ``(n, width_m, height_m, ...)`` signatures
-keep working for one release through a :class:`DeprecationWarning` shim.
+positions carry.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -36,23 +34,6 @@ __all__ = [
 #: adjacency matrix (O(n²) memory) to a grid-indexed CSR BFS (O(n·k)) —
 #: at 10k nodes the dense boolean+distance matrices alone would be ~900 MB.
 _SPARSE_CONNECTIVITY_MIN_NODES = 2048
-
-
-def _shim_arena(arena, maybe_height, fn_name: str) -> Arena:
-    """Resolve the ``(arena, ...)`` vs legacy ``(width_m, height_m, ...)``
-    call forms.  ``maybe_height`` is the argument that is ``height_m`` in
-    the legacy spelling and part of the *next* parameter in the new one."""
-    if isinstance(arena, Arena):
-        return arena
-    if maybe_height is None:
-        raise TypeError(
-            f"{fn_name} expects an Arena (or the deprecated "
-            f"width_m, height_m pair)")
-    warnings.warn(
-        f"{fn_name}(n, width_m, height_m, ...) is deprecated; pass "
-        f"{fn_name}(n, Arena(width_m, height_m), ...) instead",
-        DeprecationWarning, stacklevel=3)
-    return Arena(float(arena), float(maybe_height))
 
 
 def pairwise_distances(positions: np.ndarray) -> np.ndarray:
@@ -130,23 +111,9 @@ def _is_connected_sparse(positions: np.ndarray, range_m: float) -> bool:
     return seen == n
 
 
-def uniform_random(n: int, arena: Arena | float, height_m: float | None = None,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """``n`` nodes uniformly at random over the arena, shape ``(n, dim)``.
-
-    New spelling: ``uniform_random(n, arena, rng)`` (``rng`` may also be
-    passed by keyword).  Deprecated: ``uniform_random(n, width_m, height_m,
-    rng)``.
-    """
-    if isinstance(arena, Arena):
-        if rng is None and isinstance(height_m, np.random.Generator):
-            rng, height_m = height_m, None
-        if height_m is not None:
-            raise TypeError("unexpected argument after an Arena")
-    else:
-        arena = _shim_arena(arena, height_m, "uniform_random")
-    if rng is None:
-        raise TypeError("uniform_random requires an rng")
+def uniform_random(n: int, arena: Arena,
+                   rng: np.random.Generator) -> np.ndarray:
+    """``n`` nodes uniformly at random over the arena, shape ``(n, dim)``."""
     if n <= 0:
         raise ValueError("n must be positive")
     return arena.sample(rng, n)
@@ -185,33 +152,10 @@ def grid(rows: int, cols: int, spacing_m: float,
     return np.asarray(points, dtype=float)
 
 
-def connected_uniform(n: int, arena: Arena | float,
-                      height_or_range: float | None = None,
-                      range_or_rng=None, rng_or_tries=None,
-                      max_tries: int = 200, *,
-                      range_m: float | None = None,
-                      rng: np.random.Generator | None = None) -> np.ndarray:
-    """Uniform random placement, resampled until connected at ``range_m``.
-
-    New spelling: ``connected_uniform(n, arena, range_m, rng[, max_tries])``.
-    Deprecated: ``connected_uniform(n, width_m, height_m, range_m, rng[,
-    max_tries])``.
-    """
-    if isinstance(arena, Arena):
-        if range_m is None:
-            range_m = height_or_range
-        if rng is None:
-            rng = range_or_rng
-        if rng_or_tries is not None:
-            max_tries = int(rng_or_tries)
-    else:
-        arena = _shim_arena(arena, height_or_range, "connected_uniform")
-        if range_m is None:
-            range_m = range_or_rng
-        if rng is None:
-            rng = rng_or_tries
-    if range_m is None or rng is None:
-        raise TypeError("connected_uniform requires range_m and rng")
+def connected_uniform(n: int, arena: Arena, range_m: float,
+                      rng: np.random.Generator,
+                      max_tries: int = 200) -> np.ndarray:
+    """Uniform random placement, resampled until connected at ``range_m``."""
     for _ in range(max_tries):
         positions = arena.sample(rng, n)
         if is_connected(positions, range_m):

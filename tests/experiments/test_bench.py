@@ -209,7 +209,8 @@ def test_real_benchmarks_run_end_to_end(tmp_path):
     assert set(data["benchmarks"]) == set(bench.BENCHMARKS)
     for entry in data["benchmarks"].values():
         assert entry["wall_s"] > 0
-        # Channel-rebuild benchmarks (mobility_tick_2k, dense_rebuild_2k)
-        # never drain a simulator, so they report zero events.
+        # Channel-rebuild benchmarks (mobility_tick_2k,
+        # mobility_tick_uav60) never drain a simulator, so they report
+        # zero events.
         if entry["events"]:
             assert entry["events_per_s"] > 0

@@ -1,4 +1,4 @@
-"""ExperimentResult: builders, wire format, deprecation shims."""
+"""ExperimentResult: builders, wire format, attribute access."""
 
 import warnings
 
@@ -74,17 +74,15 @@ class TestWire:
 
 
 class TestDeprecationShim:
-    def test_legacy_attribute_access_warns_and_works(self):
-        result = make_result()
-        with pytest.warns(DeprecationWarning, match="delivery_ratio"):
-            assert result.delivery_ratio == 0.9
-
     def test_missing_attribute_raises_without_warning(self):
         result = make_result()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(AttributeError):
                 result.not_a_metric
+            # Metrics are read from ``metrics``, never as attributes.
+            with pytest.raises(AttributeError):
+                result.delivery_ratio
 
     def test_sweep_series_normalizes_results(self):
         series = SweepSeries("ssaf")

@@ -64,17 +64,15 @@ class TestLargeFlagPlumbing:
 
 class TestAutoSparseAtScale:
     def test_scaling_cell_above_cutoff_goes_sparse(self):
-        """Any scaling cell at n >= 1024 picks the sparse representation
-        through the default ``link_budget="auto"`` — no per-experiment
-        opt-in needed."""
+        """A 1500-node scaling cell's link budget holds only the linked
+        pairs, far below what N×N matrices would take."""
         from repro.experiments.common import ScenarioConfig, build_protocol_network
 
         terrain = terrain_for(1500)
         scenario = ScenarioConfig(n_nodes=1500, width_m=terrain,
                                   height_m=terrain, range_m=250.0, seed=1)
         net = build_protocol_network("counter1", scenario)
-        assert net.channel.link_budget == "sparse"
-        # The dense float64 matrices alone would be 4 * n^2 * 8 bytes.
+        # Four N×N float64 matrices would be 4 * n^2 * 8 bytes.
         assert net.channel.link_budget_bytes() < 4 * 1500 * 1500 * 8 / 10
 
 

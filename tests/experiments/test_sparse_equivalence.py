@@ -1,15 +1,15 @@
-"""Dense vs sparse link budgets are equivalent end to end (satellite of the
-sparse-channel PR).
+"""The CSR link budget reproduces the dense-matrix channel end to end.
 
-The sparse representation is a pure speed/memory optimization: on the same
-seed it must produce the *same events in the same order* as the dense
-matrices — identical reach sets, identical received powers, and identical
-run metrics under static, mobility, and fault-plan scenarios.  The fig1
-cells additionally pin the sparse path to the recorded seed-implementation
-golden numbers.
+The channel once also kept dense N×N matrices, and every run here was
+checked dense against sparse.  The dense path is gone; what it pinned
+stays pinned: the reach sets and received powers of a static network equal
+the dense reference arithmetic, the fig1 cells hit the recorded
+seed-implementation golden numbers, and the mobility and fault-plan runs
+hit the metrics both representations produced when both still existed.
 """
 
-import numpy as np
+import hashlib
+
 import pytest
 
 from repro.experiments.common import (
@@ -21,17 +21,28 @@ from repro.experiments.common import (
 from repro.experiments.fig1_ssaf import Fig1Config
 from repro.faults import FaultPlan, LinkDegradation, Partition, install_plan
 from repro.sim.rng import RandomStreams
+from repro.topology.arena import Arena
 from repro.topology.mobility import MobilityConfig, RandomWaypoint
 
 from tests.experiments.test_golden_equivalence import EXACT, GOLDEN, INTERVAL_S
+from tests.phy.link_budget_reference import assert_matches_reference
+
+# metrics_tuple() of the runs below, recorded with both the dense and the
+# sparse channel before the dense one was deleted (the two agreed exactly):
+# (events, tx, delivered, generated, avg_delay_s, avg_hops, airtime_s).
+MOBILITY_METRICS = (69386, 784, 63, 64, 0.01664343271292449,
+                    1.9841269841269842, 1.831423999999964)
+#: Leading hex digits of sha256 over the final positions' bytes.
+MOBILITY_POSITIONS_SHA256 = "21081682b7020ebf"
+FAULT_PLAN_METRICS = (69602, 785, 63, 64, 0.017975967045237285,
+                      2.2698412698412698, 1.8337599999999639)
 
 
-def run_fig1_cell(protocol: str, seed: int, link_budget: str):
+def run_fig1_cell(protocol: str, seed: int):
     config = Fig1Config()
     scenario = ScenarioConfig(
         n_nodes=config.n_nodes, width_m=config.terrain_m,
-        height_m=config.terrain_m, range_m=config.range_m, seed=seed,
-        link_budget=link_budget)
+        height_m=config.terrain_m, range_m=config.range_m, seed=seed)
     net = build_protocol_network(protocol, scenario)
     flows = pick_flows(config.n_nodes, config.n_connections,
                        RandomStreams(seed + 7777).stream("fig1.flows"),
@@ -51,12 +62,10 @@ def metrics_tuple(net):
 
 @pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
 def test_fig1_sparse_hits_golden_numbers(protocol, seed):
-    """The sparse channel reproduces the seed implementation's recording —
-    not merely dense-of-today, but the original golden constants."""
+    """The channel reproduces the seed implementation's recording."""
     events, tx, delivered, generated, delay, hops, airtime = \
         GOLDEN[(protocol, seed)]
-    net = run_fig1_cell(protocol, seed, link_budget="sparse")
-    assert net.channel.link_budget == "sparse"
+    net = run_fig1_cell(protocol, seed)
     summary = net.summary()
     assert net.simulator.events_processed == events
     assert net.channel.tx_count == tx
@@ -68,33 +77,22 @@ def test_fig1_sparse_hits_golden_numbers(protocol, seed):
 
 
 def test_static_reach_sets_and_rx_powers_identical():
-    scenario = dict(n_nodes=80, width_m=700.0, height_m=700.0,
-                    range_m=250.0, seed=5)
-    dense = build_protocol_network(
-        "counter1", ScenarioConfig(link_budget="dense", **scenario))
-    sparse = build_protocol_network(
-        "counter1", ScenarioConfig(link_budget="sparse", **scenario))
-    assert dense.channel.link_budget == "dense"
-    assert sparse.channel.link_budget == "sparse"
-    for node in range(80):
-        assert np.array_equal(dense.channel.reach[node],
-                              sparse.channel.reach[node])
-        d_power = dense.channel._reach_power_arrays[node]
-        s_power = sparse.channel._reach_power_arrays[node]
-        np.testing.assert_allclose(s_power, d_power, rtol=0.0, atol=1e-9)
-        assert np.array_equal(d_power, s_power)  # in fact bit-identical
+    net = build_protocol_network(
+        "counter1", ScenarioConfig(n_nodes=80, width_m=700.0, height_m=700.0,
+                                   range_m=250.0, seed=5))
+    assert_matches_reference(net.channel)
 
 
-def _mobility_net(link_budget: str):
+def _mobility_net():
     scenario = ScenarioConfig(n_nodes=60, width_m=700.0, height_m=700.0,
-                              range_m=250.0, seed=3,
-                              link_budget=link_budget)
+                              range_m=250.0, seed=3)
     net = build_protocol_network("counter1", scenario)
     flows = pick_flows(60, 4, RandomStreams(3 + 4242).stream("mob.flows"),
                        bidirectional=True)
     endpoints = {node for flow in flows for node in flow}
-    RandomWaypoint(net.ctx, net.channel, 700.0, 700.0,
-                   MobilityConfig(min_speed_mps=2.0, max_speed_mps=10.0),
+    RandomWaypoint(net.ctx, net.channel, arena=Arena(700.0, 700.0),
+                   config=MobilityConfig(min_speed_mps=2.0,
+                                         max_speed_mps=10.0),
                    frozen=endpoints)
     attach_cbr(net, flows, interval_s=1.0, stop_s=8.0)
     net.run(until=10.0)
@@ -102,20 +100,18 @@ def _mobility_net(link_budget: str):
 
 
 def test_mobility_run_metrics_identical():
-    """Random-waypoint mobility drives ``move_nodes`` on the sparse path
-    and full rebuilds on the dense path; same seed, same outcome."""
-    dense = _mobility_net("dense")
-    sparse = _mobility_net("sparse")
-    assert metrics_tuple(dense) == metrics_tuple(sparse)
-    assert dense.summary().generated > 0
-    np.testing.assert_array_equal(dense.channel.positions,
-                                  sparse.channel.positions)
+    """Random-waypoint mobility drives ``move_nodes``; the run lands on the
+    metrics and final positions recorded from the dense channel."""
+    net = _mobility_net()
+    assert metrics_tuple(net) == MOBILITY_METRICS
+    digest = hashlib.sha256(net.channel.positions.tobytes()).hexdigest()
+    assert digest.startswith(MOBILITY_POSITIONS_SHA256)
+    assert_matches_reference(net.channel)
 
 
-def _faulted_net(link_budget: str):
+def _faulted_net():
     scenario = ScenarioConfig(n_nodes=60, width_m=700.0, height_m=700.0,
-                              range_m=250.0, seed=4,
-                              link_budget=link_budget)
+                              range_m=250.0, seed=4)
     net = build_protocol_network("counter1", scenario)
     flows = pick_flows(60, 4, RandomStreams(4 + 4242).stream("chaos.flows"),
                        bidirectional=True)
@@ -133,10 +129,7 @@ def _faulted_net(link_budget: str):
 
 
 def test_fault_plan_run_metrics_identical():
-    """Fault-driven link offsets flow through ``set_link_offsets`` — the
-    sparse path patches only offset-bearing rows, the dense path reuses
-    cached distances; both land on the same run."""
-    dense = _faulted_net("dense")
-    sparse = _faulted_net("sparse")
-    assert metrics_tuple(dense) == metrics_tuple(sparse)
-    assert dense.summary().generated > 0
+    """Fault-driven link offsets flow through ``set_link_offsets``, which
+    patches only offset-bearing rows; the run lands on the metrics recorded
+    from the dense channel."""
+    assert metrics_tuple(_faulted_net()) == FAULT_PLAN_METRICS

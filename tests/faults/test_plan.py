@@ -1,8 +1,12 @@
 """FaultPlan / FaultSpec: validation, wire format, builders."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.faults.plan import (
+    SPEC_TYPES,
     ClockSkew,
     DutyCycleOutage,
     EnergyDepletion,
@@ -52,6 +56,52 @@ class TestRoundTrip:
         merged = fig4_plan(0.1).merged(ONE_OF_EACH)
         assert merged.name == "fig4-0.1+everything"
         assert len(merged.faults) == 1 + len(ONE_OF_EACH.faults)
+
+
+#: The smallest valid payload of every fault kind.
+MINIMAL_SPECS = {
+    "node_crash": {"nodes": [1]},
+    "duty_cycle": {},
+    "link_degradation": {"pairs": [[0, 1]]},
+    "partition": {"groups": [[0], [1]]},
+    "packet_corruption": {},
+    "clock_skew": {},
+    "energy_depletion": {},
+}
+
+FLOAT_FIELDS = [
+    (kind, field.name)
+    for kind, cls in sorted(SPEC_TYPES.items())
+    for field in dataclasses.fields(cls)
+    if "float" in str(field.type)
+]
+
+
+class TestFiniteFields:
+    def test_every_kind_covered(self):
+        assert set(MINIMAL_SPECS) == set(SPEC_TYPES)
+        for kind, payload in MINIMAL_SPECS.items():
+            FaultSpec.from_dict({"kind": kind, **payload})
+
+    @pytest.mark.parametrize("kind, name", FLOAT_FIELDS)
+    def test_non_finite_value_rejected(self, kind, name):
+        for value in (math.nan, math.inf, -math.inf):
+            payload = {"kind": kind, **MINIMAL_SPECS[kind], name: value}
+            with pytest.raises(ValueError, match=name):
+                FaultSpec.from_dict(payload)
+
+    def test_nan_link_degradation_plan_rejected(self):
+        """NaN passes ``start_s < 0`` and ``loss_db <= 0`` alike; the plan
+        must fail to load instead of leaving NaN offsets in the channel."""
+        with pytest.raises(ValueError, match="finite"):
+            FaultPlan.from_dict({"faults": [
+                {"kind": "link_degradation", "pairs": [[0, 1]],
+                 "loss_db": math.nan, "start_s": math.nan}]})
+
+    def test_infinite_loss_with_stop_rejected(self):
+        # -inf + inf on the stop edge would leave NaN behind.
+        with pytest.raises(ValueError, match="loss_db"):
+            LinkDegradation(pairs=((0, 1),), loss_db=math.inf, stop_s=5.0)
 
 
 class TestValidation:

@@ -16,6 +16,7 @@ from repro.experiments.common import (
     attach_cbr,
     build_protocol_network,
 )
+from repro.topology.arena import Arena
 from repro.topology.placement import connected_uniform
 
 PROTOCOLS = ["counter1", "ssaf", "blind", "routeless", "aodv", "gradient",
@@ -26,7 +27,7 @@ DURATION = 8.0
 
 def run_random_scenario(protocol, n_nodes, seed, n_flows):
     rng = np.random.default_rng(seed)
-    positions = connected_uniform(n_nodes, 600.0, 600.0, 250.0, rng)
+    positions = connected_uniform(n_nodes, Arena(600.0, 600.0), 250.0, rng)
     scenario = ScenarioConfig(n_nodes=n_nodes, positions=positions,
                               range_m=250.0, seed=seed)
     net = build_protocol_network(protocol, scenario)
@@ -84,7 +85,7 @@ def test_failure_does_not_break_invariants(protocol, seed):
     from repro.topology.failures import apply_failures
 
     rng = np.random.default_rng(seed)
-    positions = connected_uniform(12, 600.0, 600.0, 250.0, rng)
+    positions = connected_uniform(12, Arena(600.0, 600.0), 250.0, rng)
     scenario = ScenarioConfig(n_nodes=12, positions=positions, seed=seed)
     net = build_protocol_network(protocol, scenario)
     src, dst = (int(v) for v in rng.choice(12, size=2, replace=False))

@@ -55,8 +55,8 @@ class TestFigure3Claims:
     CONFIG = Fig3Config(n_nodes=120, terrain_m=1000.0, duration_s=20.0)
 
     def _avg(self, protocol, metric, failure=0.0, seeds=(1, 2)):
-        values = [getattr(run_one(protocol, 3, s, self.CONFIG,
-                                  failure_fraction=failure), metric)
+        values = [run_one(protocol, 3, s, self.CONFIG,
+                          failure_fraction=failure).metrics[metric]
                   for s in seeds]
         return sum(values) / len(values)
 
@@ -83,7 +83,7 @@ class TestFigure4Claims:
     def _run(self, protocol, failure, seeds=(1, 2)):
         summaries = [run_one(protocol, 3, s, self.CONFIG, failure_fraction=failure)
                      for s in seeds]
-        mean = lambda metric: sum(getattr(x, metric) for x in summaries) / len(summaries)
+        mean = lambda metric: sum(x.metrics[metric] for x in summaries) / len(summaries)
         return mean
 
     def test_aodv_cost_grows_with_failures(self):

@@ -48,7 +48,8 @@ def test_ssaf_hop_advantage_across_seeds():
 def routing_cell(protocol, seed, failure):
     from repro.experiments.fig3_rr_vs_aodv import Fig3Config, run_one
     config = Fig3Config(n_nodes=100, terrain_m=900.0, duration_s=20.0)
-    return run_one(protocol, 3, seed, config, failure_fraction=failure)
+    return run_one(protocol, 3, seed, config,
+                   failure_fraction=failure).to_summary()
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import ScenarioConfig, build_protocol_network
+from repro.topology.arena import Arena
 from repro.topology.mobility import MobilityConfig, RandomWaypoint
 
 
@@ -20,8 +21,9 @@ class TestMovingRelays:
         scenario = ScenarioConfig(n_nodes=60, positions=positions,
                                   range_m=250.0, seed=6)
         net = build_protocol_network("routeless", scenario)
-        RandomWaypoint(net.ctx, net.channel, 800.0, 800.0,
-                       MobilityConfig(min_speed_mps=3.0, max_speed_mps=10.0),
+        RandomWaypoint(net.ctx, net.channel, arena=Arena(800.0, 800.0),
+                       config=MobilityConfig(min_speed_mps=3.0,
+                                             max_speed_mps=10.0),
                        frozen={0, 1})
         sent = 0
         for k in range(25):

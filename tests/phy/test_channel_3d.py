@@ -1,5 +1,5 @@
-"""3-D channel geometry: dense/sparse bit-equivalence over (N, 3)
-positions, incremental moves, and the 2-D-degeneracy guarantee."""
+"""3-D channel geometry: bit-equivalence with the dense reference over
+(N, 3) positions, incremental moves, and the 2-D-degeneracy guarantee."""
 
 import numpy as np
 import pytest
@@ -7,13 +7,14 @@ import pytest
 from repro.phy.channel import Channel
 from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
 from repro.sim.components import SimContext
+from tests.phy.link_budget_reference import assert_matches_reference
 
 
-def make_channel(positions, link_budget="dense"):
+def make_channel(positions):
     model = FreeSpace()
     threshold = range_to_threshold_dbm(model, 15.0, 250.0)
     return Channel(SimContext(), np.asarray(positions, dtype=float), model,
-                   15.0, threshold, link_budget=link_budget)
+                   15.0, threshold)
 
 
 def positions_3d(n, seed, extent=900.0, depth=200.0):
@@ -33,11 +34,9 @@ def assert_budgets_identical(a, b):
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_sparse_matches_dense_3d(n):
-    positions = positions_3d(n, seed=n)
-    dense = make_channel(positions, "dense")
-    sparse = make_channel(positions, "sparse")
-    assert dense.dim == sparse.dim == 3
-    assert_budgets_identical(dense, sparse)
+    channel = make_channel(positions_3d(n, seed=n))
+    assert channel.dim == 3
+    assert_matches_reference(channel)
 
 
 def test_depth_zero_degenerate_matches_2d_exactly():
@@ -46,29 +45,28 @@ def test_depth_zero_degenerate_matches_2d_exactly():
     rng = np.random.default_rng(11)
     flat = rng.uniform(0, 700.0, size=(100, 2))
     stacked = np.hstack([flat, np.zeros((100, 1))])
-    for budget in ("dense", "sparse"):
-        ch2 = make_channel(flat, budget)
-        ch3 = make_channel(stacked, budget)
-        assert_budgets_identical(ch2, ch3)
+    ch2 = make_channel(flat)
+    ch3 = make_channel(stacked)
+    assert_budgets_identical(ch2, ch3)
+    assert_matches_reference(ch3)
 
 
 def test_move_nodes_3d_matches_rebuild():
     positions = positions_3d(128, seed=5)
-    sparse = make_channel(positions, "sparse")
+    channel = make_channel(positions)
     moved = np.array([3, 17, 60, 127])
     positions = positions.copy()
     positions[moved] += np.array([40.0, -25.0, 30.0])
     positions[moved, 2] = np.clip(positions[moved, 2], 0.0, 200.0)
-    sparse.move_nodes(moved, positions[moved])
-    fresh = make_channel(positions, "dense")
-    assert_budgets_identical(sparse, fresh)
+    channel.move_nodes(moved, positions[moved])
+    assert_budgets_identical(channel, make_channel(positions))
+    assert_matches_reference(channel)
 
 
 def test_pair_distance_3d():
     positions = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 12.0]])
-    for budget in ("dense", "sparse"):
-        channel = make_channel(positions, budget)
-        assert channel.pair_distance_m(0, 1) == pytest.approx(13.0)
+    channel = make_channel(positions)
+    assert channel.pair_distance_m(0, 1) == pytest.approx(13.0)
 
 
 class TestValidation:

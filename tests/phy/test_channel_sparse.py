@@ -1,16 +1,13 @@
-"""The sparse link budget: mode resolution, bit-identical equivalence with
-the dense matrices, incremental updates, and the bounded neighbor cache."""
+"""The channel's CSR link budget: bit-identical equivalence with the dense
+reference arithmetic (static, every model, moves, offsets, shadowing),
+incremental updates, and the bounded neighbor cache."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.phy.channel import (
-    AUTO_SPARSE_MIN_NODES,
-    NEIGHBOR_CACHE_THRESHOLDS,
-    Channel,
-)
+from repro.phy.channel import NEIGHBOR_CACHE_THRESHOLDS, Channel
 from repro.phy.propagation import (
     FreeSpace,
     LogDistance,
@@ -22,12 +19,12 @@ from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
-
-
-@pytest.fixture
-def ctx2() -> SimContext:
-    """A second independent context, for dense-vs-sparse comparisons."""
-    return SimContext(Simulator(), RandomStreams(42), Tracer())
+from tests.phy.link_budget_reference import (
+    assert_matches_reference,
+    reference_distance,
+    reference_neighbors,
+    reference_rows,
+)
 
 
 @pytest.fixture
@@ -46,174 +43,187 @@ def positions_for(n, extent, seed=7):
     return np.random.default_rng(seed).uniform(0, extent, size=(n, 2))
 
 
-def make_channel(ctx, positions, link_budget, **kw):
-    return Channel(ctx, positions, MODEL, TX_DBM, THRESHOLD,
-                   link_budget=link_budget, **kw)
-
-
-def assert_budgets_identical(dense, sparse):
-    assert dense.n_nodes == sparse.n_nodes
-    for i in range(dense.n_nodes):
-        assert np.array_equal(dense.reach[i], sparse.reach[i]), i
-        assert np.array_equal(dense._reach_power_arrays[i],
-                              sparse._reach_power_arrays[i]), i
-        assert dense._reach_ids[i] == sparse._reach_ids[i], i
-        assert dense._reach_powers[i] == sparse._reach_powers[i], i
-        assert dense._reach_delays[i] == sparse._reach_delays[i], i
-
-
-class TestModeResolution:
-    def test_auto_picks_dense_below_cutoff(self, ctx):
-        channel = make_channel(ctx, positions_for(50, 500), "auto")
-        assert channel.link_budget == "dense"
-
-    def test_auto_picks_sparse_at_cutoff(self, ctx):
-        n = AUTO_SPARSE_MIN_NODES
-        channel = make_channel(ctx, positions_for(n, 8000), "auto")
-        assert channel.link_budget == "sparse"
-
-    def test_auto_with_shadowing_stays_dense(self, ctx):
-        n = AUTO_SPARSE_MIN_NODES
-        channel = make_channel(ctx, positions_for(n, 8000), "auto",
-                               shadowing_sigma_db=4.0)
-        assert channel.link_budget == "dense"
-
-    def test_explicit_sparse_with_shadowing_raises(self, ctx):
-        with pytest.raises(ValueError, match="shadowing"):
-            make_channel(ctx, positions_for(10, 500), "sparse",
-                         shadowing_sigma_db=4.0)
-
-    def test_unknown_mode_raises(self, ctx):
-        with pytest.raises(ValueError, match="link_budget"):
-            make_channel(ctx, positions_for(10, 500), "csr")
-
-    def test_requested_vs_resolved_mode_recorded(self, ctx):
-        channel = make_channel(ctx, positions_for(10, 500), "sparse")
-        assert channel.link_budget_mode == "sparse"
-        assert channel.link_budget == "sparse"
+def make_channel(ctx, positions, **kw):
+    return Channel(ctx, positions, MODEL, TX_DBM, THRESHOLD, **kw)
 
 
 class TestDenseSparseEquivalence:
-    def test_static_budgets_bit_identical(self, ctx, ctx2):
-        positions = positions_for(200, 1200)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
-        assert_budgets_identical(dense, sparse)
+    """The CSR rows against the dense reference arithmetic."""
+
+    def test_static_budgets_bit_identical(self, ctx):
+        assert_matches_reference(make_channel(ctx, positions_for(200, 1200)))
 
     @pytest.mark.parametrize("model", [
         FreeSpace(), TwoRayGround(), LogDistance(), RayleighFading()])
-    def test_equivalence_across_models(self, ctx, ctx2, model):
+    def test_equivalence_across_models(self, ctx, model):
         positions = positions_for(120, 900)
         threshold = range_to_threshold_dbm(model, TX_DBM, 250.0)
-        dense = Channel(ctx, positions, model, TX_DBM, threshold,
-                        link_budget="dense")
-        sparse = Channel(ctx2, positions, model, TX_DBM, threshold,
-                         link_budget="sparse")
-        assert_budgets_identical(dense, sparse)
+        assert_matches_reference(
+            Channel(ctx, positions, model, TX_DBM, threshold))
 
-    def test_set_positions_rebuild_stays_identical(self, ctx, ctx2):
+    def test_set_positions_rebuild_stays_identical(self, ctx):
         positions = positions_for(150, 1000)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+        channel = make_channel(ctx, positions)
         moved = positions + np.random.default_rng(1).uniform(
             -40, 40, size=positions.shape)
-        dense.set_positions(moved)
-        sparse.set_positions(moved)
-        assert_budgets_identical(dense, sparse)
+        channel.set_positions(moved)
+        assert_matches_reference(channel)
 
-    def test_move_nodes_partial_matches_full_rebuild(self, ctx, ctx2):
+    def test_move_nodes_partial_matches_full_rebuild(self, ctx):
         positions = positions_for(150, 1000)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+        channel = make_channel(ctx, positions)
         rng = np.random.default_rng(2)
         current = positions.copy()
         for _ in range(4):
             ids = rng.choice(150, size=20, replace=False)
             current[ids] += rng.uniform(-150, 150, size=(20, 2))
-            dense.set_positions(current)
-            sparse.move_nodes(ids, current[ids])
-            assert_budgets_identical(dense, sparse)
+            channel.move_nodes(ids, current[ids])
+            assert_matches_reference(channel)
 
-    def test_move_nodes_all_nodes_matches_full_rebuild(self, ctx, ctx2):
+    def test_move_nodes_all_nodes_matches_full_rebuild(self, ctx):
         positions = positions_for(150, 1000)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+        channel = make_channel(ctx, positions)
         moved = positions + np.random.default_rng(3).uniform(
             -5, 5, size=positions.shape)
-        dense.set_positions(moved)
-        sparse.move_nodes(np.arange(150), moved)
-        assert_budgets_identical(dense, sparse)
+        channel.move_nodes(np.arange(150), moved)
+        assert_matches_reference(channel)
 
-    def test_neighbors_explicit_threshold_identical(self, ctx, ctx2):
-        positions = positions_for(150, 1000)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+    def test_move_nodes_on_an_all_pairs_grid(self, ctx):
+        """Two grid cells per axis: every neighborhood is the whole grid,
+        so a partial move is a full rebuild and still matches."""
+        positions = positions_for(60, 400)
+        channel = make_channel(ctx, positions)
+        assert max(channel._grid._ncells) <= 2
+        rng = np.random.default_rng(4)
+        current = positions.copy()
+        for _ in range(3):
+            ids = rng.choice(60, size=8, replace=False)
+            current[ids] = np.clip(
+                current[ids] + rng.uniform(-80, 80, size=(8, 2)), 0, 775)
+            channel.move_nodes(ids, current[ids])
+            assert_matches_reference(channel)
+
+    def test_neighbors_explicit_threshold_identical(self, ctx):
+        channel = make_channel(ctx, positions_for(150, 1000))
         for node in (0, 42, 149):
             for delta in (-12.0, -3.0, 0.0, 3.0, 12.0):
                 threshold = THRESHOLD + delta
-                assert np.array_equal(dense.neighbors(node, threshold),
-                                      sparse.neighbors(node, threshold))
+                assert np.array_equal(
+                    channel.neighbors(node, threshold),
+                    reference_neighbors(channel, node, threshold))
 
-    def test_pair_distance_identical(self, ctx, ctx2):
-        positions = positions_for(60, 600)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+    def test_pair_distance_identical(self, ctx):
+        channel = make_channel(ctx, positions_for(60, 600))
         for i, j in ((0, 1), (5, 59), (30, 7)):
-            assert dense.pair_distance_m(i, j) == sparse.pair_distance_m(i, j)
+            assert channel.pair_distance_m(i, j) == \
+                reference_distance(channel, i, j)
+
+
+class TestShadowingAgainstReference:
+    """Shadowing is gathered into the rows before the offsets, and the
+    candidate radius widens by the largest positive draw."""
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_rows_match(self, ctx, asymmetric):
+        channel = make_channel(ctx, positions_for(150, 1500),
+                               shadowing_sigma_db=6.0,
+                               shadowing_asymmetric=asymmetric)
+        assert_matches_reference(channel)
+
+    @pytest.mark.parametrize("asymmetric", [False, True])
+    def test_moves_and_offsets_match(self, ctx, asymmetric):
+        positions = positions_for(150, 1500)
+        channel = make_channel(ctx, positions, shadowing_sigma_db=6.0,
+                               shadowing_asymmetric=asymmetric)
+        rng = np.random.default_rng(5)
+        current = positions.copy()
+        ids = rng.choice(150, size=15, replace=False)
+        current[ids] += rng.uniform(-100, 100, size=(15, 2))
+        channel.move_nodes(ids, current[ids])
+        assert_matches_reference(channel)
+        offsets = {(3, 4): -200.0, (7, 140): 25.0, (20, 21): -3.5}
+        channel.set_link_offsets(offsets)
+        assert_matches_reference(channel, offsets)
+
+    def test_boosted_link_beyond_plain_radius_kept(self, ctx):
+        channel = make_channel(ctx, positions_for(150, 1500),
+                               shadowing_sigma_db=6.0)
+        plain = make_channel(SimContext(Simulator(), RandomStreams(42),
+                                        Tracer()), channel.positions)
+        reach, _, _ = reference_rows(channel)
+        extra = sum(len(set(reach[i].tolist()) - set(plain._reach_ids[i]))
+                    for i in range(150))
+        assert extra > 0  # shadowing lifts some links past the plain range
+        assert channel._candidate_radius_m > plain._candidate_radius_m
+
+    def test_neighbors_match(self, ctx):
+        channel = make_channel(ctx, positions_for(150, 1500),
+                               shadowing_sigma_db=6.0,
+                               shadowing_asymmetric=True)
+        for node in (0, 42, 149):
+            for delta in (-6.0, 0.0, 6.0):
+                threshold = THRESHOLD + delta
+                assert np.array_equal(
+                    channel.neighbors(node, threshold),
+                    reference_neighbors(channel, node, threshold))
 
 
 class TestSparseOffsets:
-    def test_matrix_and_mapping_forms_agree(self, ctx, ctx2):
+    def test_matrix_and_mapping_forms_agree(self, ctx):
         positions = positions_for(100, 800)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
+        by_matrix = make_channel(ctx, positions)
+        by_mapping = make_channel(ctx, positions)
         matrix = np.zeros((100, 100))
         matrix[3, 4] = -200.0
         matrix[10, 11] = -3.5
-        dense.set_link_offsets(matrix)
-        sparse.set_link_offsets({(3, 4): -200.0, (10, 11): -3.5})
-        assert_budgets_identical(dense, sparse)
-        assert 4 not in sparse.reach[3]
+        by_matrix.set_link_offsets(matrix)
+        offsets = {(3, 4): -200.0, (10, 11): -3.5}
+        by_mapping.set_link_offsets(offsets)
+        assert_matches_reference(by_matrix, offsets)
+        assert_matches_reference(by_mapping, offsets)
+        assert 4 not in by_mapping.reach[3]
 
     def test_positive_offset_extends_reach_beyond_grid_radius(self, ctx):
         positions = np.array([[0.0, 0.0], [2000.0, 0.0], [100.0, 0.0]])
-        sparse = make_channel(ctx, positions, "sparse")
-        assert 1 not in sparse.reach[0]
-        sparse.set_link_offsets({(0, 1): 60.0})
-        assert 1 in sparse.reach[0]
+        channel = make_channel(ctx, positions)
+        assert 1 not in channel.reach[0]
+        channel.set_link_offsets({(0, 1): 60.0})
+        assert 1 in channel.reach[0]
         # And the explicit-threshold query sees it too.
-        assert 1 in sparse.neighbors(0, THRESHOLD)
+        assert 1 in channel.neighbors(0, THRESHOLD)
 
-    def test_clearing_offsets_restores_budget(self, ctx, ctx2):
-        positions = positions_for(100, 800)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
-        sparse.set_link_offsets({(3, 4): -200.0})
-        sparse.set_link_offsets(None)
-        assert_budgets_identical(dense, sparse)
+    def test_clearing_offsets_restores_budget(self, ctx):
+        channel = make_channel(ctx, positions_for(100, 800))
+        channel.set_link_offsets({(3, 4): -200.0})
+        channel.set_link_offsets(None)
+        assert_matches_reference(channel)
 
-    def test_wrong_matrix_shape_raises_both_modes(self, ctx, ctx2):
-        dense = make_channel(ctx, positions_for(10, 300), "dense")
-        sparse = make_channel(ctx2, positions_for(10, 300), "sparse")
-        for channel in (dense, sparse):
-            with pytest.raises(ValueError, match="offsets"):
-                channel.set_link_offsets(np.zeros((2, 2)))
+    def test_wrong_matrix_shape_raises_both_modes(self, ctx):
+        """Both offset forms are validated: matrix shape and pair range."""
+        channel = make_channel(ctx, positions_for(10, 300))
+        with pytest.raises(ValueError, match="offsets"):
+            channel.set_link_offsets(np.zeros((2, 2)))
 
     def test_out_of_range_pair_raises(self, ctx):
-        sparse = make_channel(ctx, positions_for(10, 300), "sparse")
+        channel = make_channel(ctx, positions_for(10, 300))
         with pytest.raises(ValueError, match="outside"):
-            sparse.set_link_offsets({(0, 99): -3.0})
+            channel.set_link_offsets({(0, 99): -3.0})
 
-    def test_dense_offsets_reuse_cached_distances(self, ctx):
-        dense = make_channel(ctx, positions_for(50, 500), "dense")
-        before = dense.distance_m
-        dense.set_link_offsets({(0, 1): -200.0})
-        assert dense.distance_m is before  # geometry pass skipped
+    def test_nan_offset_rejected_in_both_forms(self, ctx):
+        channel = make_channel(ctx, positions_for(10, 300))
+        with pytest.raises(ValueError, match="NaN"):
+            channel.set_link_offsets({(0, 1): float("nan")})
+        matrix = np.zeros((10, 10))
+        matrix[2, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            channel.set_link_offsets(matrix)
+        assert channel._offset_pairs == {}
+        assert_matches_reference(channel)
 
 
 class TestNeighborCacheBound:
     def test_lru_evicts_oldest_threshold(self, ctx):
-        channel = make_channel(ctx, positions_for(30, 400), "dense")
+        channel = make_channel(ctx, positions_for(30, 400))
         first = THRESHOLD - 1.0
         channel.neighbors(0, first)
         for k in range(NEIGHBOR_CACHE_THRESHOLDS):
@@ -222,7 +232,7 @@ class TestNeighborCacheBound:
         assert first not in channel._neighbors_cache
 
     def test_recently_used_threshold_survives(self, ctx):
-        channel = make_channel(ctx, positions_for(30, 400), "dense")
+        channel = make_channel(ctx, positions_for(30, 400))
         keep = THRESHOLD - 1.0
         channel.neighbors(0, keep)
         for k in range(NEIGHBOR_CACHE_THRESHOLDS - 1):
@@ -231,7 +241,7 @@ class TestNeighborCacheBound:
         assert keep in channel._neighbors_cache
 
     def test_rebuild_invalidates_cache(self, ctx):
-        channel = make_channel(ctx, positions_for(30, 400), "sparse")
+        channel = make_channel(ctx, positions_for(30, 400))
         channel.neighbors(0, THRESHOLD - 1.0)
         assert channel._neighbors_cache
         channel.set_positions(channel.positions + 1.0)
@@ -239,16 +249,13 @@ class TestNeighborCacheBound:
 
 
 class TestLinkBudgetBytes:
-    def test_sparse_is_much_smaller_than_dense(self, ctx, ctx2):
-        positions = positions_for(500, 2000)
-        dense = make_channel(ctx, positions, "dense")
-        sparse = make_channel(ctx2, positions, "sparse")
-        assert sparse.link_budget_bytes() > 0
-        assert sparse.link_budget_bytes() < dense.link_budget_bytes() / 4
+    def test_rows_smaller_than_one_dense_matrix(self, ctx):
+        channel = make_channel(ctx, positions_for(500, 2000))
+        assert 0 < channel.link_budget_bytes() < 500 * 500 * 8
 
     def test_gauge_reports_peak(self, ctx_observed):
         ctx, obs = ctx_observed
-        channel = make_channel(ctx, positions_for(64, 600), "sparse")
+        channel = make_channel(ctx, positions_for(64, 600))
         family = obs.registry.get("repro_channel_link_budget_bytes")
         samples = family.describe()["samples"]
         assert list(samples.values())[0] == pytest.approx(
@@ -269,33 +276,30 @@ class TestMaxRange:
 
 
 class TestTransmitThroughSparse:
-    def test_broadcast_delivery_identical(self, ctx, ctx2):
+    def test_broadcast_delivery_identical(self, ctx):
         from repro.mac.frame import Frame
         from repro.phy.radio import RadioConfig, Transceiver
 
-        positions = positions_for(80, 600)
-        received = {"dense": [], "sparse": []}
-        for name, context in (("dense", ctx), ("sparse", ctx2)):
-            channel = make_channel(context, positions, name)
-            config = RadioConfig(tx_power_dbm=TX_DBM,
-                                 rx_threshold_dbm=THRESHOLD)
-            radios = [Transceiver(context, i, channel, config)
-                      for i in range(80)]
-            bucket = received[name]
-            for radio in radios[1:]:
-                radio.to_mac.connect(
-                    lambda frame, info, b=bucket, r=radio:
-                    b.append((r.node_id, info.power_dbm)))
-            frame = Frame(src=0, dst=None, seq=0, payload=None,
-                          size_bytes=100)
-            radios[0].transmit(frame, 0.001)
-            context.simulator.run()
-        assert received["dense"] == received["sparse"]
-        assert received["dense"]
+        channel = make_channel(ctx, positions_for(80, 600))
+        config = RadioConfig(tx_power_dbm=TX_DBM, rx_threshold_dbm=THRESHOLD)
+        radios = [Transceiver(ctx, i, channel, config) for i in range(80)]
+        received = []
+        for radio in radios[1:]:
+            radio.to_mac.connect(
+                lambda frame, info, r=radio:
+                received.append((r.node_id, info.power_dbm)))
+        frame = Frame(src=0, dst=None, seq=0, payload=None, size_bytes=100)
+        radios[0].transmit(frame, 0.001)
+        ctx.simulator.run()
+        reach, powers, _ = reference_rows(channel)
+        decodable = [(int(j), p) for j, p in zip(reach[0], powers[0].tolist())
+                     if p >= THRESHOLD]
+        assert sorted(received) == decodable
+        assert received
 
 
 def test_move_nodes_validates_input(ctx):
-    channel = make_channel(ctx, positions_for(20, 300), "sparse")
+    channel = make_channel(ctx, positions_for(20, 300))
     with pytest.raises(ValueError, match="new_positions"):
         channel.move_nodes([0, 1], np.zeros((3, 2)))
     with pytest.raises(ValueError, match="out of range"):
@@ -304,7 +308,7 @@ def test_move_nodes_validates_input(ctx):
 
 
 def test_grid_cell_size_tracks_reach_radius(ctx):
-    channel = make_channel(ctx, positions_for(50, 500), "sparse")
+    channel = make_channel(ctx, positions_for(50, 500))
     assert channel._grid.cell_size_m == pytest.approx(
         channel._candidate_radius_m)
     assert channel._candidate_radius_m >= 250.0

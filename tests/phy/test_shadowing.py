@@ -13,6 +13,10 @@ from repro.phy.channel import Channel
 from repro.phy.propagation import FreeSpace
 from repro.sim.rng import RandomStreams
 from tests.conftest import line_positions, make_phy_stack
+from tests.phy.link_budget_reference import (
+    assert_matches_reference,
+    reference_matrices,
+)
 
 
 def shadowed_channel(ctx, n=20, sigma=6.0, asymmetric=False, seed_positions=3):
@@ -50,21 +54,27 @@ class TestShadowingMatrix:
         plain = Channel(ctx, positions, FreeSpace(), 15.0, -70.0)
         shadowed = Channel(ctx, positions, FreeSpace(), 15.0, -70.0,
                            shadowing_sigma_db=6.0)
-        assert not np.allclose(plain.rx_power_dbm, shadowed.rx_power_dbm)
+        assert plain._reach_powers != shadowed._reach_powers
+        assert_matches_reference(shadowed)
 
     def test_shadowing_survives_position_updates(self, ctx):
         channel = shadowed_channel(ctx)
         before = channel.shadowing_db.copy()
         channel.set_positions(channel.positions + 10.0)
         assert np.array_equal(channel.shadowing_db, before)
+        assert_matches_reference(channel)
 
     def test_asymmetric_creates_unidirectional_links(self, ctx):
         channel = shadowed_channel(ctx, n=40, sigma=8.0, asymmetric=True)
         threshold = -64.0
-        forward = channel.rx_power_dbm >= threshold
+        _, power, _ = reference_matrices(channel)
+        forward = power >= threshold
         unidirectional = forward & ~forward.T
         np.fill_diagonal(unidirectional, False)
         assert unidirectional.any()
+        src, dst = map(int, np.argwhere(unidirectional)[0])
+        assert dst in channel.neighbors(src, threshold)
+        assert src not in channel.neighbors(dst, threshold)
 
 
 class TestUnidirectionalLinksClaim:

@@ -86,6 +86,29 @@ class TestUniformGrid:
         got = set(zip(srcs.tolist(), dsts.tolist()))
         assert len(got) == 10 * 9  # all ordered pairs
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grid_within_one_neighborhood_gives_all_pairs(self, dim):
+        """Two cells per axis: every cell neighbors every other, so the
+        candidates are every ordered pair, sorted, self-pairs dropped."""
+        positions = np.random.default_rng(dim).uniform(0, 190, size=(25, dim))
+        grid = UniformGrid(positions, 100.0)
+        assert max(grid._ncells) == 2
+        sources = np.array([3, 7, 20])
+        srcs, dsts = grid.candidates(sources)
+        expected = [(s, d) for s in sources.tolist() for d in range(25)
+                    if d != s]
+        assert list(zip(srcs.tolist(), dsts.tolist())) == expected
+        assert grid.neighborhood_members(np.array([4])).tolist() == \
+            list(range(25))
+
+    def test_three_cells_per_axis_keep_the_grid(self):
+        positions = np.array([[0.0, 0.0], [150.0, 0.0], [250.0, 0.0]])
+        grid = UniformGrid(positions, 100.0)
+        assert max(grid._ncells) == 3
+        _, dsts = grid.candidates(np.array([0]))
+        assert dsts.tolist() == [1]  # node 2 is two cells away
+        assert grid.neighborhood_members(np.array([0])).tolist() == [0, 1]
+
 
 class TestNeighborPairs:
     def test_matches_dense_adjacency(self):

@@ -85,6 +85,21 @@ def test_bad_queries_400(server, mutation, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("loss_db", float("nan")),
+    ("start_s", float("nan")),
+    ("loss_db", float("inf")),
+])
+def test_non_finite_fault_plan_400(server, field, value):
+    spec = {"kind": "link_degradation", "pairs": [[0, 1]], "loss_db": 10.0,
+            "start_s": 1.0, "stop_s": 5.0, field: value}
+    query = toy_query(faults={"name": "bad", "faults": [spec]})
+    with pytest.raises(ServeError) as err:
+        ServeClient(server.base_url).submit(query)
+    assert err.value.status == 400
+    assert "finite" in str(err.value)
+
+
 def test_malformed_request_line(server):
     import socket
     host, port = server.server.config.host, server.server.port

@@ -104,26 +104,13 @@ class TestAsArena:
 
 
 class TestPlacementShims:
-    def test_uniform_random_arena_matches_legacy_bitwise(self):
-        arena = Arena(500.0, 500.0)
-        new = uniform_random(50, arena, rng=np.random.default_rng(3))
-        with pytest.warns(DeprecationWarning):
-            old = uniform_random(50, 500.0, 500.0, np.random.default_rng(3))
-        assert np.array_equal(new, old)
+    """Placement takes an Arena, in 2-D and 3-D alike."""
 
     def test_uniform_random_positional_rng_after_arena(self):
         arena = Arena(500.0, 500.0)
         a = uniform_random(20, arena, np.random.default_rng(8))
         b = uniform_random(20, arena, rng=np.random.default_rng(8))
         assert np.array_equal(a, b)
-
-    def test_connected_uniform_arena_matches_legacy_bitwise(self):
-        arena = Arena(600.0, 600.0)
-        new = connected_uniform(40, arena, 250.0, np.random.default_rng(2))
-        with pytest.warns(DeprecationWarning):
-            old = connected_uniform(40, 600.0, 600.0, 250.0,
-                                    np.random.default_rng(2))
-        assert np.array_equal(new, old)
 
     def test_connected_uniform_3d(self):
         arena = Arena(600.0, 600.0, depth_m=150.0)

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.topology.arena import Arena
 from repro.topology.mobility import MobilityConfig, RandomWalk, RandomWaypoint
 from tests.conftest import line_positions, make_phy_stack
+from tests.phy.link_budget_reference import assert_matches_reference
 
 
 def build(ctx, model_cls, n=10, config=None, frozen=(), width=500.0, height=500.0):
     rng = np.random.default_rng(3)
     positions = rng.uniform(0, 500, size=(n, 2))
     channel, radios, _ = make_phy_stack(ctx, positions)
-    model = model_cls(ctx, channel, width, height,
+    model = model_cls(ctx, channel, arena=Arena(width, height),
                       config=config if config is not None else MobilityConfig(),
                       frozen=frozen)
     return channel, model
@@ -69,9 +71,10 @@ class TestCommonBehaviour:
 
     def test_channel_link_budget_tracks_movement(self, ctx, model_cls):
         channel, model = build(ctx, model_cls)
-        before = channel.rx_power_dbm.copy()
+        before = [list(row) for row in channel._reach_powers]
         ctx.simulator.run(until=10.0)
-        assert not np.allclose(channel.rx_power_dbm, before)
+        assert [list(row) for row in channel._reach_powers] != before
+        assert_matches_reference(channel)
 
     def test_deterministic(self, model_cls):
         from repro.sim.components import SimContext
@@ -114,7 +117,7 @@ class TestChannelReconfiguration:
 class TestSparseChannelWiring:
     """Mobility ticks drive the sparse channel via incremental move_nodes."""
 
-    def _drive(self, link_budget):
+    def _drive(self):
         from repro.phy.channel import Channel
         from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
         from repro.sim.components import SimContext
@@ -125,26 +128,18 @@ class TestSparseChannelWiring:
         positions = np.random.default_rng(3).uniform(0, 500, size=(12, 2))
         model = FreeSpace()
         threshold = range_to_threshold_dbm(model, 15.0, 250.0)
-        channel = Channel(ctx, positions, model, 15.0, threshold,
-                          link_budget=link_budget)
-        RandomWaypoint(ctx, channel, 500.0, 500.0, config=MobilityConfig(),
-                       frozen={0, 3})
+        channel = Channel(ctx, positions, model, 15.0, threshold)
+        RandomWaypoint(ctx, channel, arena=Arena(500.0, 500.0),
+                       config=MobilityConfig(), frozen={0, 3})
         return ctx, channel
 
     def test_sparse_ticks_match_dense_rebuilds(self):
-        finals = {}
-        for mode in ("dense", "sparse"):
-            ctx, channel = self._drive(mode)
-            ctx.simulator.run(until=10.0)
-            finals[mode] = channel
-        dense, sparse = finals["dense"], finals["sparse"]
-        assert np.array_equal(dense.positions, sparse.positions)
-        for node in range(12):
-            assert np.array_equal(dense.reach[node], sparse.reach[node])
-            assert dense._reach_powers[node] == sparse._reach_powers[node]
+        ctx, channel = self._drive()
+        ctx.simulator.run(until=10.0)
+        assert_matches_reference(channel)
 
     def test_tick_only_passes_moved_ids(self):
-        ctx, channel = self._drive("sparse")
+        ctx, channel = self._drive()
         calls = []
         original = channel.move_nodes
         channel.move_nodes = lambda ids, pos: (

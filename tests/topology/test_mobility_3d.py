@@ -218,26 +218,8 @@ class TestRegistry:
 
 
 class TestDeprecationShims:
-    def test_legacy_positional_width_height_warns(self):
-        ctx, channel = make_stack(Arena(500.0, 500.0))
-        with pytest.warns(DeprecationWarning, match="arena=Arena"):
-            model = RandomWaypoint(ctx, channel, 500.0, 500.0,
-                                   config=MobilityConfig())
-        assert model.arena == Arena(500.0, 500.0)
-
-    def test_legacy_positional_config_and_frozen(self):
-        ctx, channel = make_stack(Arena(500.0, 500.0))
-        with pytest.warns(DeprecationWarning):
-            model = RandomWaypoint(ctx, channel, 500.0, 500.0,
-                                   MobilityConfig(max_speed_mps=4.0), {1, 2})
-        assert model.config.max_speed_mps == 4.0
-        assert not model.mobile[1] and not model.mobile[2]
-
-    def test_legacy_keywords_warn(self):
-        ctx, channel = make_stack(Arena(500.0, 500.0))
-        with pytest.warns(DeprecationWarning, match="width_m"):
-            model = RandomWalk(ctx, channel, width_m=500.0, height_m=500.0)
-        assert model.arena == Arena(500.0, 500.0)
+    """The geometry arguments left once the deprecated width/height
+    spellings were removed."""
 
     def test_legacy_attrs_still_exposed(self):
         ctx, channel = make_stack(ARENA_3D)
@@ -253,7 +235,7 @@ class TestDeprecationShims:
 
     def test_arena_twice_rejected(self):
         ctx, channel = make_stack(Arena(500.0, 500.0))
-        with pytest.raises(TypeError, match="twice"):
+        with pytest.raises(TypeError, match="multiple values.*'arena'"):
             RandomWaypoint(ctx, channel, Arena(500.0, 500.0),
                            arena=Arena(500.0, 500.0))
 
@@ -261,19 +243,10 @@ class TestDeprecationShims:
         ctx, channel = make_stack(Arena(500.0, 500.0))
         with pytest.raises(TypeError, match="arena"):
             RandomWaypoint(ctx, channel)
-
-    def test_legacy_replay_bit_identical_to_arena_spelling(self):
-        """The shim is pure argument plumbing: same seed, same trajectory."""
-        outcomes = []
-        for legacy in (True, False):
-            ctx, channel = make_stack(Arena(500.0, 500.0), seed=13)
-            if legacy:
-                with pytest.warns(DeprecationWarning):
-                    RandomWaypoint(ctx, channel, 500.0, 500.0,
-                                   config=MobilityConfig())
-            else:
-                RandomWaypoint(ctx, channel, arena=Arena(500.0, 500.0),
-                               config=MobilityConfig())
-            ctx.simulator.run(until=5.0)
-            outcomes.append(channel.positions.copy())
-        assert np.array_equal(outcomes[0], outcomes[1])
+        # The removed width/height spellings fail loudly.
+        with pytest.raises(TypeError, match="arena"):
+            RandomWaypoint(ctx, channel, 500.0)
+        with pytest.raises(TypeError):
+            RandomWaypoint(ctx, channel, 500.0, 500.0)
+        with pytest.raises(TypeError):
+            RandomWalk(ctx, channel, width_m=500.0, height_m=500.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.topology.arena import Arena
 from repro.topology.placement import (
     adjacency,
     connected_uniform,
@@ -18,19 +19,19 @@ from repro.topology.placement import (
 class TestUniform:
     def test_within_bounds(self):
         rng = np.random.default_rng(0)
-        positions = uniform_random(200, 1000.0, 500.0, rng)
+        positions = uniform_random(200, Arena(1000.0, 500.0), rng)
         assert positions.shape == (200, 2)
         assert (positions[:, 0] >= 0).all() and (positions[:, 0] <= 1000).all()
         assert (positions[:, 1] >= 0).all() and (positions[:, 1] <= 500).all()
 
     def test_deterministic_with_seed(self):
-        a = uniform_random(10, 100, 100, np.random.default_rng(1))
-        b = uniform_random(10, 100, 100, np.random.default_rng(1))
+        a = uniform_random(10, Arena(100, 100), np.random.default_rng(1))
+        b = uniform_random(10, Arena(100, 100), np.random.default_rng(1))
         assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
-            uniform_random(0, 100, 100, np.random.default_rng(0))
+            uniform_random(0, Arena(100, 100), np.random.default_rng(0))
 
 
 class TestGrid:
@@ -62,7 +63,7 @@ class TestConnectivity:
 
     def test_adjacency_symmetric_no_self_loops(self):
         rng = np.random.default_rng(0)
-        positions = uniform_random(30, 500, 500, rng)
+        positions = uniform_random(30, Arena(500, 500), rng)
         adj = adjacency(positions, 200.0)
         assert (adj == adj.T).all()
         assert not adj.diagonal().any()
@@ -70,13 +71,14 @@ class TestConnectivity:
     def test_connected_uniform_always_connected(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
-            positions = connected_uniform(40, 800, 800, 250.0, rng)
+            positions = connected_uniform(40, Arena(800, 800), 250.0, rng)
             assert is_connected(positions, 250.0)
 
     def test_connected_uniform_gives_up_when_impossible(self):
         rng = np.random.default_rng(0)
         with pytest.raises(RuntimeError):
-            connected_uniform(50, 100_000, 100_000, 10.0, rng, max_tries=3)
+            connected_uniform(50, Arena(100_000, 100_000), 10.0, rng,
+                              max_tries=3)
 
     @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=100))
     @settings(max_examples=30, deadline=None)
@@ -84,7 +86,7 @@ class TestConnectivity:
         import networkx as nx
 
         rng = np.random.default_rng(seed)
-        positions = uniform_random(n, 500, 500, rng)
+        positions = uniform_random(n, Arena(500, 500), rng)
         range_m = 200.0
         graph = nx.Graph()
         graph.add_nodes_from(range(n))
@@ -113,7 +115,7 @@ class TestSparseConnectivity:
 
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            positions = uniform_random(120, 900, 900, rng)
+            positions = uniform_random(120, Arena(900, 900), rng)
             range_m = 160.0
             assert (_is_connected_sparse(positions, range_m)
                     == is_connected(positions, range_m)), seed
