@@ -3,8 +3,8 @@
 The paper's claims are mechanistic — SSAF's elected forwarder *suppresses*
 redundant rebroadcasts, Routeless Routing survives failures because a dead
 next hop simply *loses an election* — so validating them needs per-packet
-causality, not endpoint ratios.  The ledger records one
-:class:`LedgerEntry` per lifecycle event:
+causality, not endpoint ratios.  The ledger records one row per
+lifecycle event (read back as :class:`LedgerEntry` objects):
 
     originate → enqueue → contend → tx → rx → suppress/forward → deliver/drop
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter as TallyCounter
+from itertools import islice
 from typing import Any, Iterator, Optional
 
 __all__ = ["DropReason", "PacketStage", "LedgerEntry", "PacketLedger"]
@@ -120,10 +121,19 @@ class LedgerEntry:
 
 
 class PacketLedger:
-    """Append-only store of lifecycle events for one simulation run."""
+    """Append-only store of lifecycle events for one simulation run.
+
+    Recording is one tuple append to :attr:`rows`; everything else is
+    derived lazily.  The first query builds the :class:`LedgerEntry` list,
+    the per-uid index and the drop/stage tallies, and every later query
+    extends them over the rows appended since.
+    """
 
     def __init__(self) -> None:
-        self.entries: list[LedgerEntry] = []
+        #: ``(time, node, layer, stage, uid, reason, detail)`` per event, in
+        #: record order.  Hot paths append to it directly.
+        self.rows: list[tuple] = []
+        self._entries: list[LedgerEntry] = []
         self._by_uid: dict[tuple, list[LedgerEntry]] = {}
         self._drops: TallyCounter[DropReason] = TallyCounter()
         self._stages: TallyCounter[PacketStage] = TallyCounter()
@@ -131,24 +141,42 @@ class PacketLedger:
     def record(self, time: float, node: int, layer: str, stage: PacketStage,
                uid: Optional[tuple] = None,
                reason: Optional[DropReason] = None,
-               **detail: Any) -> LedgerEntry:
-        entry = LedgerEntry(time, node, layer, stage, uid, reason,
-                            detail or None)
-        self.entries.append(entry)
-        if uid is not None:
-            self._by_uid.setdefault(uid, []).append(entry)
-        if reason is not None:
-            self._drops[reason] += 1
-        self._stages[stage] += 1
-        return entry
+               **detail: Any) -> None:
+        self.rows.append((time, node, layer, stage, uid, reason,
+                          detail or None))
+
+    def _index(self) -> None:
+        """Extend the entries, uid index and tallies over new rows."""
+        entries = self._entries
+        if len(entries) == len(self.rows):
+            return
+        by_uid = self._by_uid
+        drops = self._drops
+        stages = self._stages
+        for row in islice(self.rows, len(entries), None):
+            entry = LedgerEntry(*row)
+            entries.append(entry)
+            if entry.uid is not None:
+                by_uid.setdefault(entry.uid, []).append(entry)
+            if entry.reason is not None:
+                drops[entry.reason] += 1
+            stages[entry.stage] += 1
 
     # -------------------------------------------------------------- queries
 
+    @property
+    def entries(self) -> list[LedgerEntry]:
+        """Every event as a :class:`LedgerEntry`, in record order."""
+        self._index()
+        return self._entries
+
     def chain(self, uid: tuple) -> list[LedgerEntry]:
         """Every event of one packet, in record (≈ causal) order."""
+        self._index()
         return list(self._by_uid.get(uid, ()))
 
     def uids(self) -> Iterator[tuple]:
+        self._index()
         return iter(self._by_uid)
 
     def of_stage(self, stage: PacketStage) -> Iterator[LedgerEntry]:
@@ -156,19 +184,24 @@ class PacketLedger:
 
     def drop_counts(self) -> dict[DropReason, int]:
         """Per-reason drop tallies; their sum is :meth:`total_drops`."""
+        self._index()
         return dict(self._drops)
 
     def total_drops(self) -> int:
+        self._index()
         return sum(self._drops.values())
 
     def stage_counts(self) -> dict[PacketStage, int]:
+        self._index()
         return dict(self._stages)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def clear(self) -> None:
-        self.entries.clear()
+        # In place: observers hold the bound ``rows.append``.
+        self.rows.clear()
+        self._entries.clear()
         self._by_uid.clear()
         self._drops.clear()
         self._stages.clear()

@@ -52,8 +52,9 @@ def test_stage_counts_and_of_stage():
 
 def test_to_dict_is_json_safe():
     ledger = PacketLedger()
-    entry = ledger.record(1.5, 4, "net", PacketStage.DROP, UID,
-                          DropReason.TTL_EXPIRED, hops=5)
+    ledger.record(1.5, 4, "net", PacketStage.DROP, UID,
+                  DropReason.TTL_EXPIRED, hops=5)
+    entry = ledger.entries[-1]
     row = json.loads(json.dumps(entry.to_dict()))
     assert row["stage"] == "drop"
     assert row["reason"] == "ttl_expired"
@@ -68,3 +69,38 @@ def test_clear_resets_everything():
     assert len(ledger) == 0
     assert ledger.total_drops() == 0
     assert ledger.chain(UID) == []
+
+
+def test_rows_after_a_query_reach_every_view():
+    ledger = PacketLedger()
+    other = (PacketKind.DATA, 7, 0)
+    ledger.record(0.0, 3, "net", PacketStage.ORIGINATE, UID)
+    # First queries build the lazy indexes...
+    assert len(ledger.entries) == 1
+    assert list(ledger.uids()) == [UID]
+    assert ledger.drop_counts() == {}
+    # ...and rows recorded afterwards must extend them.
+    ledger.record(0.1, 3, "mac", PacketStage.DROP, UID,
+                  DropReason.QUEUE_OVERFLOW)
+    ledger.record(0.2, 7, "net", PacketStage.ORIGINATE, other)
+    assert [e.time for e in ledger.entries] == [0.0, 0.1, 0.2]
+    assert [e.stage for e in ledger.chain(UID)] == [PacketStage.ORIGINATE,
+                                                   PacketStage.DROP]
+    assert list(ledger.uids()) == [UID, other]
+    assert ledger.drop_counts() == {DropReason.QUEUE_OVERFLOW: 1}
+    assert ledger.total_drops() == 1
+    assert ledger.stage_counts() == {PacketStage.ORIGINATE: 2,
+                                     PacketStage.DROP: 1}
+    assert [e.node for e in ledger.of_stage(PacketStage.ORIGINATE)] == [3, 7]
+
+
+def test_rows_hold_the_recorded_fields():
+    ledger = PacketLedger()
+    ledger.record(1.5, 4, "net", PacketStage.DROP, UID,
+                  DropReason.TTL_EXPIRED, hops=5)
+    ledger.record(1.6, 4, "phy", PacketStage.TX, None)
+    assert ledger.rows == [
+        (1.5, 4, "net", PacketStage.DROP, UID, DropReason.TTL_EXPIRED,
+         {"hops": 5}),
+        (1.6, 4, "phy", PacketStage.TX, None, None, None),
+    ]
