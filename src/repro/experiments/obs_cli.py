@@ -27,6 +27,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.experiments.registry import campaign_capable
+
 __all__ = ["main", "build_parser", "run_observed_cell"]
 
 
@@ -38,16 +40,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    names = " ".join(campaign_capable())
+
     def add_cell_args(p: argparse.ArgumentParser, *,
                       optional_experiment: bool = False) -> None:
         if optional_experiment:
             p.add_argument("experiment", nargs="?", default=None,
-                           help="experiment name (fig1 fig3 fig4 mobility "
-                                "scaling); omit with --campaign-dir")
+                           help=f"experiment name ({names}); omit with "
+                                "--campaign-dir")
         else:
             p.add_argument("experiment",
-                           help="experiment name (fig1 fig3 fig4 mobility "
-                                "scaling)")
+                           help=f"experiment name ({names})")
         p.add_argument("--protocol", default=None,
                        help="protocol to run (default: experiment's first)")
         p.add_argument("--x", type=float, default=None, metavar="X",
@@ -106,7 +109,7 @@ def run_observed_cell(args):
     spec = _campaign_spec(args.experiment)
     if spec is None:
         raise SystemExit(f"error: unknown experiment {args.experiment!r} "
-                         "(choose from: fig1 fig3 fig4 mobility scaling)")
+                         f"(choose from: {' '.join(campaign_capable())})")
 
     protocol = _pick(args.protocol, spec.protocols, "--protocol")
     x = _pick(args.x, spec.xs, "--x", convert=float)

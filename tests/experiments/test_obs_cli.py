@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign import CampaignSpec
 from repro.experiments import cli, obs_cli
+from repro.experiments.registry import campaign_capable
 from repro.net.packet import PacketKind
 from repro.obs.ledger import DropReason, PacketStage
 
@@ -79,6 +80,13 @@ class TestErrors:
     def test_unknown_experiment(self, fake_spec, capsys):
         assert obs_cli.main(["summary", "nosuch"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_unknown_experiment_lists_every_campaign_experiment(self, capsys):
+        assert obs_cli.main(["summary", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        choices = err.split("choose from:")[1].strip(" )\n").split()
+        assert choices == campaign_capable()
+        assert "uav" in choices
 
     def test_off_grid_x(self, fake_spec, capsys):
         assert obs_cli.main(["summary", "fakeexp", "--x", "99"]) == 2
