@@ -1,5 +1,6 @@
-"""The ``bench`` CLI: kernel/channel microbenchmarks + a fig1 smoke cell,
-with snapshot comparison so hot-path regressions fail loudly.
+"""The ``bench`` CLI: kernel/channel microbenchmarks + a fig1 smoke cell
+(bare and observed), with snapshot comparison so hot-path regressions fail
+loudly.
 
 ::
 
@@ -106,9 +107,16 @@ def _bench_channel_fanout(n_nodes: int = 80, transmits: int = 50) -> dict:
             "events": ctx.simulator.events_processed}
 
 
-def _bench_fig1_cell() -> dict:
+#: Events the fig1 smoke cell fires, observed or not.
+FIG1_CELL_EVENTS = 158_582
+
+
+def _bench_fig1_cell(observe: bool = False) -> dict:
     """One end-to-end fig1 cell (SSAF, 1 s interval, seed 1) — the
-    wall-clock proxy for whole figure sweeps."""
+    wall-clock proxy for whole figure sweeps.  ``observe`` attaches a fresh
+    :class:`~repro.obs.observe.Observability` and takes its snapshot
+    inside the timed region, so the ratio to the unobserved cell is the
+    cost of observation."""
     from repro.experiments.common import (
         ScenarioConfig,
         attach_cbr,
@@ -116,23 +124,27 @@ def _bench_fig1_cell() -> dict:
         pick_flows,
     )
     from repro.experiments.fig1_ssaf import Fig1Config
+    from repro.obs.observe import Observability
     from repro.sim.rng import RandomStreams
 
     config = Fig1Config()
     seed = 1
+    obs = Observability() if observe else None
     t0 = time.perf_counter()
     scenario = ScenarioConfig(
         n_nodes=config.n_nodes, width_m=config.terrain_m,
         height_m=config.terrain_m, range_m=config.range_m, seed=seed)
-    net = build_protocol_network("ssaf", scenario)
+    net = build_protocol_network("ssaf", scenario, obs=obs)
     flows = pick_flows(config.n_nodes, config.n_connections,
                        RandomStreams(seed + 7777).stream("fig1.flows"),
                        distinct_endpoints=False)
     attach_cbr(net, flows, interval_s=1.0, stop_s=config.duration_s - 2.0)
     net.run(until=config.duration_s)
+    if obs is not None:
+        obs.snapshot()
     wall = time.perf_counter() - t0
     events = net.simulator.events_processed
-    assert events > 0
+    assert events == FIG1_CELL_EVENTS, events
     return {"wall_s": wall, "ops": 1, "events": events}
 
 
@@ -266,6 +278,7 @@ BENCHMARKS: dict[str, tuple[Callable[[], dict], int, int]] = {
     "timer_cancellation_storm": (_bench_cancellation_storm, 7, 3),
     "channel_fanout": (_bench_channel_fanout, 7, 3),
     "fig1_smoke_cell": (_bench_fig1_cell, 3, 2),
+    "fig1_smoke_cell_observed": (lambda: _bench_fig1_cell(observe=True), 3, 2),
     "sparse_fanout_2k": (_bench_sparse_fanout, 5, 2),
     "sparse_fanout_3d_2k": (_bench_sparse_fanout_3d, 5, 2),
     "mobility_tick_2k": (_bench_mobility_tick, 5, 2),

@@ -214,3 +214,13 @@ def test_real_benchmarks_run_end_to_end(tmp_path):
         # zero events.
         if entry["events"]:
             assert entry["events_per_s"] > 0
+
+
+def test_observed_fig1_cell_fires_the_bare_cells_events():
+    """The observed smoke cell is the bare one plus observation: same
+    events, so its wall-time ratio to ``fig1_smoke_cell`` is the cost of
+    observing."""
+    assert {"fig1_smoke_cell", "fig1_smoke_cell_observed"} <= set(
+        bench.BENCHMARKS)
+    fn, _repeats, _quick = bench.BENCHMARKS["fig1_smoke_cell_observed"]
+    assert fn()["events"] == bench.FIG1_CELL_EVENTS
