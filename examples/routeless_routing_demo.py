@@ -2,7 +2,8 @@
 """Routeless Routing, step by step — including a live node failure.
 
 Walks a packet flow through the protocol's life cycle on a small network,
-with the tracer on so every protocol action is visible:
+with an observability bundle attached so every election's outcome is
+visible in the packet ledger:
 
 1. path discovery (counter-1 flooding populates active node tables);
 2. the path reply electing its way back hop by hop, acked per hop;
@@ -17,7 +18,7 @@ Run:  python examples/routeless_routing_demo.py
 import numpy as np
 
 from repro.experiments.common import ScenarioConfig, build_protocol_network
-from repro.sim.trace import Tracer
+from repro.obs import Observability
 
 #       1 ─── 3
 #      /  \ /  \
@@ -34,26 +35,32 @@ POSITIONS = np.array([
 ])
 
 
-def print_events(tracer: Tracer, since: float) -> None:
-    interesting = ("rr.discovery", "rr.discovery_reached", "rr.reply",
-                   "rr.reply_received", "rr.candidate", "rr.relay", "rr.ack",
-                   "rr.retransmit", "net.deliver")
-    for record in tracer.records:
-        if record.time >= since and record.kind in interesting:
-            print(f"   {record}")
+def print_events(obs: Observability, since: float) -> None:
+    """Net-layer ledger rows: originations, election wins (forward) and
+    losses (suppress), deliveries and drops."""
+    for entry in obs.ledger.entries:
+        if entry.time >= since and entry.layer == "net":
+            kind, origin, seq = entry.uid
+            detail = " ".join(f"{k}={v:.4g}" if isinstance(v, float)
+                              else f"{k}={v}"
+                              for k, v in (entry.detail or {}).items())
+            reason = f" ({entry.reason.value})" if entry.reason else ""
+            print(f"   [{entry.time:9.6f}] node {entry.node} "
+                  f"{entry.stage.value:<9} {kind.value}:{origin}:{seq}"
+                  f"{reason} {detail}".rstrip())
 
 
 def main() -> None:
-    tracer = Tracer()
+    obs = Observability()
     scenario = ScenarioConfig(n_nodes=6, positions=POSITIONS, range_m=250.0,
                               seed=4)
-    net = build_protocol_network("routeless", scenario, tracer=tracer)
+    net = build_protocol_network("routeless", scenario, obs=obs)
     rr = net.protocols
 
     print("== 1+2. Path discovery and reply (0 → 5) ==")
     rr[0].send_data(5)
     net.run(until=2.0)
-    print_events(tracer, 0.0)
+    print_events(obs, 0.0)
     print("\nActive node tables after discovery (hops to node 0 / node 5):")
     for i in range(6):
         print(f"   node {i}: to 0 = {rr[i].table.hops_to(0)}, "
@@ -63,7 +70,7 @@ def main() -> None:
     mark = net.simulator.now
     rr[0].send_data(5)
     net.run(until=mark + 2.0)
-    print_events(tracer, mark)
+    print_events(obs, mark)
     used = net.metrics.deliveries[-1].path
     print(f"\n   delivered via relays {used}")
 
@@ -73,7 +80,7 @@ def main() -> None:
     mark = net.simulator.now
     rr[0].send_data(5)
     net.run(until=mark + 3.0)
-    print_events(tracer, mark)
+    print_events(obs, mark)
     final = net.metrics.deliveries[-1].path
     print(f"\n   delivered via relays {final} — no route repair, no RERR, "
           f"no rediscovery")

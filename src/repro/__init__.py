@@ -80,7 +80,7 @@ from repro.phy import (
     Transceiver,
     TwoRayGround,
 )
-from repro.sim import RandomStreams, SimContext, Simulator, Tracer
+from repro.sim import RandomStreams, SimContext, Simulator
 from repro.stats import MetricsCollector, MetricsSummary, SweepSeries, format_table
 from repro.topology import (
     Arena,
@@ -151,7 +151,6 @@ __all__ = [
     "Simulator",
     "SweepSeries",
     "TokenMutex",
-    "Tracer",
     "Transceiver",
     "TwoRayGround",
     "VirtualForceConfig",

@@ -1,6 +1,5 @@
-"""Analytical models and trace analysis: theory-vs-simulation validation."""
+"""Analytical models: theory-vs-simulation validation."""
 
-from repro.analysis.lifecycle import JourneyEvent, PacketJourney, reconstruct_journeys
 from repro.analysis.theory import (
     counter1_relay_bound,
     expected_election_delay,
@@ -10,12 +9,9 @@ from repro.analysis.theory import (
 )
 
 __all__ = [
-    "JourneyEvent",
-    "PacketJourney",
     "counter1_relay_bound",
     "expected_election_delay",
     "free_space_range_m",
-    "reconstruct_journeys",
     "tie_probability",
     "uniform_win_probabilities",
 ]

@@ -129,7 +129,6 @@ class ClusterNode(Component):
         self.is_head = True
         self.head = self.node_id
         self._last_head_round = self.round_no
-        self.trace("cluster.head", round=self.round_no, energy=self.energy)
         self._send(("head", self.round_no))
 
     def _choose_head(self) -> None:
@@ -139,11 +138,9 @@ class ClusterNode(Component):
         if self._timer is not None:
             self._timer.suppress()
         if self._best_offer is None:
-            self.trace("cluster.orphan", round=self.round_no)
             return
         _, head_id, _ = self._best_offer
         self.head = head_id
-        self.trace("cluster.join", head=head_id, round=self.round_no)
         self._send(("join", self.round_no, head_id))
 
     # -------------------------------------------------------------- receive

@@ -174,8 +174,6 @@ class SpanCoordinator(Component):
         if self._timer is None:
             self._timer = CandidateTimer(self, self._become_coordinator)
         self._timer.arm(delay)
-        self.trace("span.candidate", delay=delay, utility=utility,
-                   energy=self.energy)
 
     def _become_coordinator(self) -> None:
         # Re-check: announcements heard during the backoff may have covered
@@ -187,7 +185,6 @@ class SpanCoordinator(Component):
         self.role = CoordinatorRole.COORDINATOR
         self._tenure = 0
         self.announcements += 1
-        self.trace("span.announce")
         self._send(("coord", True))
 
     def _redundant(self) -> bool:
@@ -201,7 +198,6 @@ class SpanCoordinator(Component):
     def _withdraw(self) -> None:
         self.role = CoordinatorRole.MEMBER
         self.withdrawals += 1
-        self.trace("span.withdraw")
         self._send(("coord", False))
 
     # ------------------------------------------------------------- wiring
@@ -240,7 +236,6 @@ class SpanCoordinator(Component):
                 if uncovered == 0 and self._timer is not None:
                     self._timer.suppress()
                     self.role = CoordinatorRole.MEMBER
-                    self.trace("span.suppressed", by=packet.origin)
 
     # -------------------------------------------------------------- views
 

@@ -119,7 +119,6 @@ class ElectionNode(Component):
         )
         uid = packet.uid
         self.rounds[uid] = ElectionRound(uid=uid)
-        self.trace("election.trigger", round=str(uid))
         self.mac.send(packet)
         if self.config.use_arbiter:
             self._arm_arbiter(uid, packet)
@@ -137,10 +136,8 @@ class ElectionNode(Component):
         if round_ is None or round_.leader is not None:
             return
         if round_.attempt >= self.config.max_retriggers:
-            self.trace("election.gave_up", round=str(uid))
             return
         round_.attempt += 1
-        self.trace("election.retrigger", round=str(uid), attempt=round_.attempt)
         # "it will trigger the implicit synchronization point again by
         # sending out the original synchronization packet"
         self.mac.send(sync_packet)
@@ -177,7 +174,6 @@ class ElectionNode(Component):
         if round_.timer is None:
             round_.timer = CandidateTimer(self, lambda: self._announce(uid, packet))
         round_.timer.arm(delay)
-        self.trace("election.candidate", round=str(uid), backoff=delay)
 
     def _announce(self, uid: tuple, sync_packet: Packet) -> None:
         round_ = self.rounds[uid]
@@ -192,7 +188,6 @@ class ElectionNode(Component):
             ref_seq=sync_packet.seq,
             payload=uid,
         )
-        self.trace("election.announce", round=str(uid))
         self.mac.send(announce)
         self.elected.emit(uid, self.node_id)
 
@@ -221,7 +216,6 @@ class ElectionNode(Component):
                 ref_seq=packet.seq,
                 payload=(uid, packet.origin),
             )
-            self.trace("election.ack", round=str(uid), leader=packet.origin)
             self.mac.send(ack)
         if first_news:
             self.elected.emit(uid, packet.origin)

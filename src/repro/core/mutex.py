@@ -140,7 +140,6 @@ class TokenMutex(Component):
         self._broadcast_offer()
 
     def _broadcast_offer(self) -> None:
-        self.trace("mutex.offer", epoch=self._epoch)
         self._send(PacketKind.ANNOUNCE, payload=("offer", self._epoch))
         self._offer_handle = self.schedule(
             self.config.offer_timeout_s, self._offer_timeout)
@@ -154,7 +153,6 @@ class TokenMutex(Component):
             # Nobody wants it: keep the token, idle — unless we queued a
             # request against ourselves while releasing.
             self.state = MutexState.HOLDING_IDLE
-            self.trace("mutex.idle", epoch=self._epoch)
             pending = self._self_pending
             self._self_pending = None
             if pending is not None:
@@ -181,7 +179,6 @@ class TokenMutex(Component):
     def _claim_fire(self) -> None:
         if self.state != MutexState.WAITING:
             return
-        self.trace("mutex.claim", epoch=self._pending_epoch)
         self._send(PacketKind.SYNC, payload=("claim", self._pending_epoch))
 
     # ---------------------------------------------------------------- grant
@@ -198,7 +195,6 @@ class TokenMutex(Component):
         winner = packet.origin
         self.grants_issued += 1
         self._epoch += 1
-        self.trace("mutex.grant", winner=winner, epoch=self._epoch)
         self._send(PacketKind.NET_ACK, payload=("grant", self._epoch, winner))
         self.state = MutexState.IDLE
         pending = self._self_pending
@@ -223,7 +219,6 @@ class TokenMutex(Component):
         self.wait_times.append(waited)
         self.times_acquired += 1
         self.state = MutexState.IN_CS
-        self.trace("mutex.acquired", waited=waited, epoch=epoch)
         callback = self._on_acquire
         self._on_acquire = None
         self._requested_at = None

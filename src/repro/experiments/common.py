@@ -30,7 +30,6 @@ from repro.phy.radio import RadioConfig, Transceiver
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
 from repro.stats.metrics import MetricsCollector
 from repro.topology.arena import Arena
 from repro.topology.placement import connected_uniform
@@ -151,7 +150,6 @@ def build_network(
     protocol_factory: ProtocolFactory,
     scenario: ScenarioConfig,
     mac_config: MacConfig | None = None,
-    tracer: Tracer | None = None,
     obs: Observability | None = None,
 ) -> Network:
     """Assemble the full stack for every node of the scenario."""
@@ -159,7 +157,6 @@ def build_network(
     ctx = SimContext(
         simulator=Simulator(),
         streams=streams,
-        tracer=tracer if tracer is not None else NullTracer(),
         obs=obs,
     )
 
@@ -224,7 +221,6 @@ PROTOCOLS = ("counter1", "ssaf", "blind", "routeless", "aodv", "gradient", "dsr"
 def build_protocol_network(
     protocol: str,
     scenario: ScenarioConfig,
-    tracer: Tracer | None = None,
     protocol_config=None,
     mac_config: MacConfig | None = None,
     obs: Observability | None = None,
@@ -281,8 +277,7 @@ def build_protocol_network(
         return GradientRouting(ctx, node_id, mac, config=protocol_config,
                                metrics=metrics)
 
-    return build_network(factory, scenario, mac_config=mac_config, tracer=tracer,
-                         obs=obs)
+    return build_network(factory, scenario, mac_config=mac_config, obs=obs)
 
 
 def pick_flows(

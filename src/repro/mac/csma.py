@@ -155,8 +155,6 @@ class CsmaMac(Component):
         )
         accepted = self.queue.push(job)
         if not accepted:
-            if self.ctx.tracing:
-                self.trace("mac.drop_queue_full", packet=str(packet))
             if self.ctx.observing:
                 self.ctx.obs.on_drop(self.now, self.node_id, "mac",
                                      DropReason.QUEUE_OVERFLOW, packet.uid)
@@ -189,13 +187,9 @@ class CsmaMac(Component):
             self._waiting_for_idle = False
             self._current = None
             self._current_seq = None
-            if self.ctx.tracing:
-                self.trace("mac.cancelled", packet=str(packet))
             self._kick()
             return True
         if self.queue.cancel(packet):
-            if self.ctx.tracing:
-                self.trace("mac.cancelled_queued", packet=str(packet))
             return True
         return False
 
@@ -325,8 +319,6 @@ class CsmaMac(Component):
         self.rts_sent += 1
         self._tx_in_flight = True
         self._tx_is_rts = True
-        if self.ctx.tracing:
-            self.trace("mac.rts", dst=job.dst)
 
     def _transmit_data(self, job: TxJob) -> None:
         frame = self._data_frame(job)
@@ -335,8 +327,6 @@ class CsmaMac(Component):
             return
         self.tx_attempts += 1
         self._tx_in_flight = True
-        if self.ctx.tracing:
-            self.trace("mac.tx", frame=str(frame), attempt=job.retries)
 
     def _on_tx_done(self) -> None:
         if not self._tx_in_flight:
@@ -404,8 +394,6 @@ class CsmaMac(Component):
                 handle.cancel()
                 setattr(self, handle_name, None)
         if job is not None:
-            if self.ctx.tracing:
-                self.trace("mac.send_failed", packet=str(job.packet), dst=job.dst)
             if self.ctx.observing:
                 reason = (DropReason.RADIO_OFF if silent
                           else DropReason.RETRY_EXHAUSTED)
@@ -498,8 +486,6 @@ class CsmaMac(Component):
             return
         self.tx_attempts += 1
         self._tx_in_flight = True
-        if self.ctx.tracing:
-            self.trace("mac.tx_reserved", frame=str(frame), attempt=job.retries)
 
     def _send_cts(self, rts: Frame) -> None:
         if not self.radio.is_on:

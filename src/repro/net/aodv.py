@@ -139,7 +139,6 @@ class Aodv(NetworkProtocol):
         )
         self.dup_cache.record(packet)
         self.rreqs_sent += 1
-        self.trace("aodv.rreq", packet=str(packet), attempt=attempt.attempts)
         self.mac.send(packet)
         attempt.handle = self.schedule(
             self.config.rreq_timeout_s, self._rreq_timeout, attempt
@@ -160,8 +159,6 @@ class Aodv(NetworkProtocol):
                 for packet in dropped:
                     self.obs_drop(packet, DropReason.NO_ROUTE,
                                   target=attempt.target)
-            self.trace("aodv.discovery_failed", target=attempt.target,
-                       dropped=len(dropped))
             return
         self._send_rreq(attempt)
 
@@ -216,14 +213,12 @@ class Aodv(NetworkProtocol):
             ref_seq=rreq.seq,
         )
         self.rreps_sent += 1
-        self.trace("aodv.rrep", packet=str(reply))
         # The reverse route we just learned points at rx.src.
         self.mac.send(reply, dst=rx.src)
 
     def _on_rrep(self, packet: Packet, rx: MacRxInfo) -> None:
         self._learn(packet.origin, rx.src, packet.actual_hops + 1)
         if packet.target == self.node_id:
-            self.trace("aodv.route_ready", target=packet.origin)
             self._discovery_succeeded(packet.origin)
             return
         route = self._valid_route(packet.target)
@@ -287,8 +282,6 @@ class Aodv(NetworkProtocol):
         }
         for dest in unreachable:
             self.routes[dest].valid = False
-        self.trace("aodv.link_broken", next_hop=dst,
-                   unreachable=sorted(unreachable))
         if packet is not None and packet.kind == PacketKind.DATA:
             if packet.origin == self.node_id:
                 # We are the source: buffer the packet and rediscover.
@@ -313,7 +306,6 @@ class Aodv(NetworkProtocol):
             payload=frozenset(unreachable),
         )
         self.rerrs_sent += 1
-        self.trace("aodv.rerr", unreachable=sorted(unreachable))
         self.mac.send(rerr)
 
     def _on_rerr(self, packet: Packet, rx: MacRxInfo) -> None:

@@ -101,8 +101,6 @@ class NetworkProtocol(Component):
         """Hand a packet that reached its target to the application."""
         if self.metrics is not None:
             self.metrics.on_delivered(packet, self.now, self.node_id)
-        if self.ctx.tracing:
-            self.trace("net.deliver", packet=str(packet))
         if self.ctx.observing:
             self.ctx.obs.on_deliver(self.now, self.node_id, packet.uid,
                                     self.now - packet.created_at,

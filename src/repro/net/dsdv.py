@@ -127,7 +127,6 @@ class Dsdv(NetworkProtocol):
             payload=vector,
         )
         self.updates_sent += 1
-        self.trace("dsdv.update", entries=len(vector))
         self.mac.send(packet)
 
     def _on_update(self, packet: Packet, rx: MacRxInfo) -> None:
@@ -244,5 +243,4 @@ class Dsdv(NetworkProtocol):
                     self.obs_drop(packet, DropReason.NO_ROUTE,
                                   next_hop=dst, cause="link_broken")
         if broken:
-            self.trace("dsdv.broken_links", next_hop=dst)
             self._broadcast_update()

@@ -145,7 +145,6 @@ class Dsr(NetworkProtocol):
         )
         self.dup_cache.record(packet)
         self.rreqs_sent += 1
-        self.trace("dsr.rreq", packet=str(packet), attempt=disc.attempts)
         self.mac.send(packet)
         disc.handle = self.schedule(
             self.config.rreq_timeout_s, self._rreq_timeout, disc
@@ -166,8 +165,6 @@ class Dsr(NetworkProtocol):
                 for packet in dropped:
                     self.obs_drop(packet, DropReason.NO_ROUTE,
                                   target=disc.target)
-            self.trace("dsr.discovery_failed", target=disc.target,
-                       dropped=len(dropped))
             return
         self._send_rreq(disc)
 
@@ -217,7 +214,6 @@ class Dsr(NetworkProtocol):
                 payload=route,
             )
             self.rreps_sent += 1
-            self.trace("dsr.rrep", route=route)
             # Walk the reply back along the reversed record.
             self.mac.send(reply, dst=route[-2])
             return
@@ -234,7 +230,6 @@ class Dsr(NetworkProtocol):
         route = packet.payload  # (source, ..., destination)
         if packet.target == self.node_id:
             self.route_cache[route[-1]] = route
-            self.trace("dsr.route_ready", route=route)
             self._discovery_succeeded(route[-1])
             return
         # Forward toward the source: previous entry in the record.
@@ -282,7 +277,6 @@ class Dsr(NetworkProtocol):
         self.link_failures += 1
         broken = (self.node_id, dst)
         self._purge_routes(broken)
-        self.trace("dsr.link_broken", link=broken)
 
         if packet.kind == PacketKind.DATA:
             route = packet.payload if isinstance(packet.payload, tuple) else ()

@@ -99,8 +99,6 @@ class ElectionFlooding(NetworkProtocol):
         if not self.dup_cache.record(packet):
             self._on_duplicate(packet)
             return
-        if self.ctx.tracing:
-            self.trace("flood.first_copy", packet=str(packet))
         if packet.target == self.node_id:
             self.deliver_up(packet, rx)
             return  # the destination never needs to rebroadcast
@@ -122,8 +120,6 @@ class ElectionFlooding(NetworkProtocol):
         timer = self._timers.get(packet.uid)
         if timer is not None and timer.suppress():
             self.suppressed += 1
-            if self.ctx.tracing:
-                self.trace("flood.suppressed", packet=str(packet))
             if self.ctx.observing:
                 self.obs_suppress(packet, how="timer")
             return
@@ -134,8 +130,6 @@ class ElectionFlooding(NetworkProtocol):
             del self._queued_fwd[packet.uid]
             self.rebroadcasts -= 1
             self.suppressed += 1
-            if self.ctx.tracing:
-                self.trace("flood.suppressed_queued", packet=str(packet))
             if self.ctx.observing:
                 self.obs_suppress(packet, how="queued_cancel")
             return

@@ -239,7 +239,6 @@ class RoutelessRouting(NetworkProtocol):
             created_at=self.now,
         )
         self.dup_cache.record(packet)
-        self.trace("rr.discovery", packet=str(packet), attempt=disc.attempts)
         self.mac.send(packet)
         disc.handle = self.schedule(
             self.config.discovery_timeout_s, self._discovery_timeout, disc
@@ -257,7 +256,6 @@ class RoutelessRouting(NetworkProtocol):
                 for packet in dropped:
                     self.obs_drop(packet, DropReason.NO_ROUTE,
                                   target=disc.target)
-            self.trace("rr.discovery_failed", target=disc.target, dropped=len(dropped))
             return
         self._send_discovery(disc)
 
@@ -308,7 +306,6 @@ class RoutelessRouting(NetworkProtocol):
                 state.phase = RelayPhase.SUPPRESSED
             return
         if packet.target == self.node_id:
-            self.trace("rr.discovery_reached", packet=str(packet))
             self._send_reply(packet)
             return
         if packet.actual_hops + 1 >= self.config.max_hops:
@@ -349,7 +346,6 @@ class RoutelessRouting(NetworkProtocol):
             ref_seq=discovery.seq,
         )
         self.dup_cache.record(reply)
-        self.trace("rr.reply", packet=str(reply))
         self._transmit_and_arbitrate(reply, expected)
 
     # ---- reply/data relay election
@@ -394,9 +390,6 @@ class RoutelessRouting(NetworkProtocol):
             state.timer.arm(delay)
             state.armed_delay = delay
             self._states[uid] = state
-            if self.ctx.tracing:
-                self.trace("rr.candidate", packet=str(packet), backoff=delay,
-                           table_hops=table_hops)
             return
 
         # Duplicate handling depends on our phase.  Throughout, a copy's
@@ -459,7 +452,6 @@ class RoutelessRouting(NetworkProtocol):
             if packet.kind == PacketKind.DATA:
                 self.deliver_up(packet, rx)
             else:  # PATH_REPLY back at the source: the path is discovered
-                self.trace("rr.reply_received", packet=str(packet))
                 self._discovery_succeeded(packet.origin)
         elif state is None:
             state = _RelayState(phase=RelayPhase.DONE)
@@ -495,8 +487,6 @@ class RoutelessRouting(NetworkProtocol):
                              expected_hops=my_expected)
             self.ctx.obs.on_election_win(self.now, self.node_id, packet.uid,
                                          self.PROTOCOL_NAME, state.armed_delay)
-        if self.ctx.tracing:
-            self.trace("rr.relay", packet=str(forwarded))
         self.mac.send(forwarded, priority=0.0)
         self._enter_arbiter(state, uid)
 
@@ -529,10 +519,8 @@ class RoutelessRouting(NetworkProtocol):
                 # No receiver ever relayed, despite our retransmissions.
                 self.obs_drop(state.forwarded, DropReason.NO_FORWARDER,
                               retries=state.retries - 1)
-            self.trace("rr.gave_up", uid=str(uid))
             return
         self.arbiter_retransmits += 1
-        self.trace("rr.retransmit", uid=str(uid), attempt=state.retries)
         self.mac.send(state.forwarded)
         state.arbiter_handle = self.schedule(
             self.config.arbiter_timeout_s, self._arbiter_timeout, uid
@@ -591,7 +579,6 @@ class RoutelessRouting(NetworkProtocol):
             payload=uid,
         )
         self.acks_sent += 1
-        self.trace("rr.ack", ref=str(uid), level=level)
         self.mac.send(ack)
 
     def _on_net_ack(self, packet: Packet) -> None:

@@ -197,11 +197,3 @@ class PacketLedger:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def clear(self) -> None:
-        # In place: observers hold the bound ``rows.append``.
-        self.rows.clear()
-        self._entries.clear()
-        self._by_uid.clear()
-        self._drops.clear()
-        self._stages.clear()

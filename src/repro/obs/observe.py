@@ -15,8 +15,9 @@ hook is behind the cheap ``SimContext.observing`` flag at the call site::
         self.ctx.obs.on_drop(self.now, self.node_id, "mac",
                              DropReason.QUEUE_OVERFLOW, uid)
 
-so a run without observability pays one attribute read per site — the same
-zero-cost discipline as :attr:`SimContext.tracing`.
+so a run without observability pays one attribute read per site.  The
+ledger is the run's only per-event record: ``obs.ledger.chain(uid)`` is one
+packet's journey.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class Observability:
         self._append = self.ledger.rows.append
         #: Ledger rows already folded into the registry.
         self._folded = 0
-        #: Copied into ``SimContext.observing`` when the context is built;
-        #: set it to False before then to run without collection.
-        self.enabled = True
         #: kind -> node ids it has touched (backs the fault_nodes gauge).
         self._fault_touched: dict[str, set[int]] = {}
 
@@ -221,10 +219,9 @@ class Observability:
         order, so every float sum matches per-event updates.
         """
         rows = self.ledger.rows
-        start = self._folded if self._folded <= len(rows) else 0
-        if start == len(rows):
+        if self._folded == len(rows):
             return
-        new = rows[start:]
+        new = rows[self._folded:]
         self._folded = len(rows)
         # One C-level tally of (node, stage, layer) feeds both per-event
         # families; keys are the stage's string value, not the Enum member.

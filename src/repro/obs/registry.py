@@ -6,11 +6,10 @@ Prometheus-shaped, simulation-sized: :class:`Counter`, :class:`Gauge` and
 combination, so hot paths can hold a child and pay a single attribute
 update per event.
 
-Collection follows the same zero-cost discipline as tracing
-(:mod:`repro.sim.trace`): instrumented code never talks to the registry
-directly — it checks the cheap :attr:`repro.sim.components.SimContext.observing`
-flag first, so with observability disabled no labels are built and no call
-is made.
+Collection is zero-cost when off: instrumented code never talks to the
+registry directly — it checks the cheap
+:attr:`repro.sim.components.SimContext.observing` flag first, so with no
+observability attached no labels are built and no call is made.
 
 Two APIs exist because campaign workers run in separate processes:
 
@@ -239,14 +238,13 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class MetricsRegistry:
     """Every metric family of one process (or one simulation run).
 
-    ``enabled`` exists for symmetry with :class:`~repro.sim.trace.Tracer`;
-    instrumented code reads it through ``SimContext.observing`` and skips
-    the registry entirely when collection is off.
+    Instrumented simulation code reaches it only behind
+    ``SimContext.observing``, which is false when no
+    :class:`~repro.obs.observe.Observability` is attached.
     """
 
     def __init__(self) -> None:
         self._families: dict[str, _Family] = {}
-        self.enabled = True
 
     # ------------------------------------------------------------- creation
 

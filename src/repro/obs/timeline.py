@@ -1,11 +1,12 @@
-"""Timeline export: ledger (+ trace) records as Chrome trace-event JSON.
+"""Timeline export: packet-ledger rows as Chrome trace-event JSON.
 
 The Chrome trace-event format is the lingua franca of timeline viewers:
 ``chrome://tracing`` and Perfetto (https://ui.perfetto.dev) both load it
 directly.  We map the simulation onto it as
 
 * one *process* per layer (``phy``/``mac``/``net``) so Perfetto groups
-  tracks the way the stack is layered;
+  tracks the way the stack is layered, plus a ``fault`` process for
+  injected fault transitions (crashes, duty-cycle outages);
 * one *thread* per node, so every node gets a row per layer;
 * transmissions (which have an airtime) as complete events (``ph: "X"``,
   with ``dur``); everything else as instant events (``ph: "i"``);
@@ -23,12 +24,9 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import Optional
 
 from repro.obs.ledger import PacketLedger, PacketStage
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.trace import TraceRecord
 
 __all__ = [
     "chrome_trace_events",
@@ -37,7 +35,8 @@ __all__ = [
     "write_jsonl",
 ]
 
-_LAYER_PID = {"phy": 1, "mac": 2, "net": 3}
+_LAYER_PID = {"phy": 1, "mac": 2, "net": 3, "fault": 4}
+_PID_NAME = {0: "other", **{pid: layer for layer, pid in _LAYER_PID.items()}}
 _S_TO_US = 1e6
 
 
@@ -48,10 +47,9 @@ def _uid_str(uid: Optional[tuple]) -> str:
     return f"{getattr(kind, 'value', kind)}:{origin}:{seq}"
 
 
-def chrome_trace_events(ledger: PacketLedger,
-                        trace_records: Iterable["TraceRecord"] = ()) -> list[dict]:
-    """The ``traceEvents`` list: ledger entries plus optional tracer records
-    (tracer records land in a fourth ``trace`` process)."""
+def chrome_trace_events(ledger: PacketLedger) -> list[dict]:
+    """The ``traceEvents`` list: one event per ledger entry, plus the
+    metadata events naming each layer's process and each node's thread."""
     events: list[dict] = []
     seen_threads: set[tuple[int, int]] = set()
 
@@ -84,46 +82,20 @@ def chrome_trace_events(ledger: PacketLedger,
             event["s"] = "t"  # instant scoped to its thread (node row)
         events.append(event)
 
-    trace_pid = 4
-    for record in trace_records:
-        # Tracer sources look like "mac[7]" / "ssaf[3]" / "channel".
-        source = record.source
-        tid = 0
-        if source.endswith("]") and "[" in source:
-            name_part, _, node_part = source.rpartition("[")
-            try:
-                tid = int(node_part[:-1])
-            except ValueError:  # pragma: no cover - defensive
-                tid = 0
-            source = name_part
-        seen_threads.add((trace_pid, tid))
-        events.append({
-            "name": record.kind,
-            "cat": source,
-            "ph": "i",
-            "s": "t",
-            "pid": trace_pid,
-            "tid": tid,
-            "ts": record.time * _S_TO_US,
-            "args": {str(k): str(v) for k, v in record.detail.items()},
-        })
-
     # Metadata events name the process/thread rows in the viewer.
-    names = {1: "phy", 2: "mac", 3: "net", 4: "trace", 0: "other"}
     for pid in sorted({p for p, _t in seen_threads}):
         events.append({"name": "process_name", "ph": "M", "pid": pid, "tid": 0,
-                       "args": {"name": names.get(pid, f"pid{pid}")}})
+                       "args": {"name": _PID_NAME[pid]}})
     for pid, tid in sorted(seen_threads):
         events.append({"name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
                        "args": {"name": f"node {tid}"}})
     return events
 
 
-def to_chrome_trace(ledger: PacketLedger,
-                    trace_records: Iterable["TraceRecord"] = ()) -> dict:
+def to_chrome_trace(ledger: PacketLedger) -> dict:
     """The full JSON-object form Perfetto/chrome://tracing load."""
     return {
-        "traceEvents": chrome_trace_events(ledger, trace_records),
+        "traceEvents": chrome_trace_events(ledger),
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.obs", "time_unit": "us"},
     }
@@ -135,11 +107,10 @@ def _prepare(path: str | os.PathLike) -> Path:
     return target
 
 
-def write_chrome_trace(ledger: PacketLedger, path: str | os.PathLike,
-                       trace_records: Iterable["TraceRecord"] = ()) -> None:
+def write_chrome_trace(ledger: PacketLedger, path: str | os.PathLike) -> None:
     """Write a Perfetto-loadable Chrome trace-event JSON file."""
     with open(_prepare(path), "w") as handle:
-        json.dump(to_chrome_trace(ledger, trace_records), handle)
+        json.dump(to_chrome_trace(ledger), handle)
         handle.write("\n")
 
 

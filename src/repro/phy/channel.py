@@ -551,8 +551,6 @@ class Channel(Component):
         self.tx_count_by_kind[kind] += 1
         self.airtime_s += duration
         self.airtime_by_kind[kind] += duration
-        if self.ctx.tracing:
-            self.trace("channel.tx", src=src_id, frame=str(frame))
         if self.ctx.observing:
             payload = frame.payload
             self.ctx.obs.on_tx(self.ctx.now, src_id,

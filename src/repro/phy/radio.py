@@ -168,7 +168,6 @@ class Transceiver(Component):
         if on:
             if self.state in (RadioState.SLEEP, RadioState.OFF):
                 self._set_state(RadioState.IDLE)
-                self.trace("radio.on")
         else:
             was_busy = self.carrier_busy()
             if self._tx_end_handle is not None:
@@ -178,7 +177,6 @@ class Transceiver(Component):
             self._locked = None
             self._sensed = 0
             self._set_state(RadioState.SLEEP if sleep else RadioState.OFF)
-            self.trace("radio.off")
             if was_busy:
                 self.carrier.emit(False)
 
@@ -196,8 +194,6 @@ class Transceiver(Component):
                 reception.corrupted = True
             self._locked = None
         self._set_state(RadioState.TX)
-        if self.ctx.tracing:
-            self.trace("radio.tx", frame=str(frame), duration=duration)
         self._tx_end_handle = self.schedule(duration, self._finish_tx)
         self.channel.transmit(self.node_id, frame, duration)
         return True
@@ -252,8 +248,6 @@ class Transceiver(Component):
                     return
                 current.corrupted = True
             reception.corrupted = True
-            if self.ctx.tracing:
-                self.trace("radio.collision", frame=str(frame))
 
     # -------------------------------------------------------- SINR variant
 
@@ -279,8 +273,6 @@ class Transceiver(Component):
         if current is not None and not current.corrupted:
             if self._sinr_db(self._locked) < self.config.sinr_threshold_db:
                 current.corrupted = True
-                if self.ctx.tracing:
-                    self.trace("radio.sinr_drowned", frame=str(current.frame))
 
     def _begin_receive_sinr(self, token: int, reception: "_Reception") -> None:
         if self._locked is None:
@@ -298,8 +290,6 @@ class Transceiver(Component):
             # ...and may capture the lock if it is strong enough itself.
             if self._sinr_db(token) >= self.config.sinr_threshold_db:
                 self._locked = token
-                if self.ctx.tracing:
-                    self.trace("radio.sinr_capture", frame=str(reception.frame))
                 return
         reception.corrupted = True
 
@@ -323,8 +313,6 @@ class Transceiver(Component):
                 # Injected PHY fault: the frame decoded fine, but random bit
                 # errors destroyed it.  Distinct from COLLISION so chaos
                 # reports attribute the loss to the fault plan.
-                if self.ctx.tracing:
-                    self.trace("radio.fault_corrupt", frame=str(reception.frame))
                 if self.ctx.observing:
                     payload = reception.frame.payload
                     self.ctx.obs.on_drop(
@@ -334,8 +322,6 @@ class Transceiver(Component):
                 return
             if not reception.corrupted:
                 info = RxInfo(reception.power_dbm, reception.begin_time, self.sim.now)
-                if self.ctx.tracing:
-                    self.trace("radio.rx", frame=str(reception.frame), power=reception.power_dbm)
                 if self.ctx.observing:
                     payload = reception.frame.payload
                     self.ctx.obs.on_rx(
@@ -344,8 +330,6 @@ class Transceiver(Component):
                         reception.power_dbm)
                 self.to_mac.emit(reception.frame, info)
             else:
-                if self.ctx.tracing:
-                    self.trace("radio.rx_corrupt", frame=str(reception.frame))
                 if self.ctx.observing:
                     # The frame this radio locked onto arrived corrupted:
                     # that copy died to a collision (or SINR drowning).

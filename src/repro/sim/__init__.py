@@ -4,19 +4,15 @@ from repro.sim.components import Component, Outport, PortNotConnected, SimContex
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.events import Event, EventHandle
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer, TraceRecord
 
 __all__ = [
     "Component",
     "Event",
     "EventHandle",
-    "NullTracer",
     "Outport",
     "PortNotConnected",
     "RandomStreams",
     "SimContext",
     "SimulationError",
     "Simulator",
-    "Tracer",
-    "TraceRecord",
 ]

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.observe import Observability
@@ -75,38 +74,29 @@ class SimContext:
     """Everything a component needs from its environment.
 
     Bundles the simulator clock/scheduler, the named RNG streams and the
-    tracer, so component constructors take a single ``ctx`` argument.
+    observability bundle, so component constructors take a single ``ctx``
+    argument.
 
-    :attr:`tracing` and :attr:`observing` are plain attributes fixed here,
-    when the context is built: hot-path code reads them once per
-    instrumented site.  Set ``Tracer.enabled`` / ``Observability.enabled``
-    before building the context; toggling them later does not reach the
-    gates.
+    :attr:`observing` is a plain attribute fixed here, when the context is
+    built: hot-path code reads it once per instrumented site.
     """
 
     def __init__(
         self,
         simulator: Simulator | None = None,
         streams: RandomStreams | None = None,
-        tracer: Tracer | None = None,
         obs: "Observability | None" = None,
     ):
         self.simulator = simulator if simulator is not None else Simulator()
         self.streams = streams if streams is not None else RandomStreams(0)
-        self.tracer = tracer if tracer is not None else NullTracer()
         #: Observability bundle (metrics registry + packet ledger); ``None``
         #: means no collection — see :attr:`observing`.
         self.obs = obs
-        #: True when trace records are being collected.  Hot-path code
-        #: checks this *before* building trace arguments (``str(frame)``,
-        #: kwargs dicts), making disabled tracing free.
-        self.tracing: bool = self.tracer.enabled
-        #: True when the observability subsystem is collecting.  The same
-        #: zero-cost discipline as :attr:`tracing`: hot-path code checks
-        #: this before building ledger/metric arguments, so a run without
-        #: an :class:`~repro.obs.observe.Observability` attached pays one
-        #: attribute read per instrumented site.
-        self.observing: bool = obs is not None and obs.enabled
+        #: True when an :class:`~repro.obs.observe.Observability` is
+        #: attached.  Hot-path code checks this *before* building ledger or
+        #: metric arguments (uid tuples, kwargs dicts), so a run without
+        #: one pays one attribute read per instrumented site.
+        self.observing: bool = obs is not None
 
     @property
     def now(self) -> float:
@@ -133,9 +123,6 @@ class Component:
     def schedule(self, delay: float, callback: Callable[..., None], *args: Any,
                  priority: int = 0) -> EventHandle:
         return self.sim.schedule(delay, callback, *args, priority=priority)
-
-    def trace(self, kind: str, **detail: Any) -> None:
-        self.ctx.tracer.emit(self.sim.now, self.name, kind, **detail)
 
     def rng(self, stream_suffix: str = "") -> Any:
         """The component's own RNG stream (optionally sub-named)."""

@@ -1,68 +1,74 @@
-"""Tests for packet lifecycle reconstruction."""
+"""A packet's lifecycle, read back from the packet ledger.
+
+``obs.ledger.chain(uid)`` is one packet's journey: its net-layer FORWARD
+rows name the relays that won each hop's election, in hop order.
+"""
 
 import pytest
 
-from repro.analysis.lifecycle import reconstruct_journeys
-from repro.sim.trace import Tracer
+from repro.net.packet import PacketKind
+from repro.net.routeless import RoutelessConfig
+from repro.obs.ledger import DropReason, PacketStage
+from repro.obs.observe import Observability
 from tests.conftest import line_network
+
+DATA = (PacketKind.DATA, 0, 0)
+REPLY = (PacketKind.PATH_REPLY, 4, 0)
+
+
+def relays(chain):
+    return [e.node for e in chain if e.stage is PacketStage.FORWARD]
 
 
 @pytest.fixture
-def traced_run():
-    tracer = Tracer()
-    net = line_network("routeless", n=5, tracer=tracer)
+def observed_run():
+    obs = Observability()
+    net = line_network("routeless", n=5, obs=obs)
     net.protocols[0].send_data(4)
     net.run(until=5.0)
-    return tracer, net
+    return obs, net
 
 
 class TestReconstruction:
-    def test_data_journey_reconstructed(self, traced_run):
-        tracer, net = traced_run
-        journeys = reconstruct_journeys(tracer)
-        data = journeys[("data", 0, 0)]
-        assert data.delivered
-        assert data.relays == [1, 2, 3]
-        assert data.retransmissions == 0
-        assert data.delivery_time is not None
+    def test_data_journey_reconstructed(self, observed_run):
+        obs, net = observed_run
+        chain = obs.ledger.chain(DATA)
+        assert [e.node for e in chain if e.stage is PacketStage.DELIVER] == [4]
+        assert relays(chain) == [1, 2, 3]
+        assert net.protocols[0].arbiter_retransmits == 0
+        assert [e.node for e in chain if e.stage is PacketStage.TX] == [0, 1, 2, 3]
 
-    def test_discovery_and_reply_present(self, traced_run):
-        tracer, net = traced_run
-        journeys = reconstruct_journeys(tracer)
-        assert ("path_discovery", 0, 0) in journeys
-        reply = journeys[("path_reply", 4, 0)]
-        assert reply.delivered
-        assert reply.relays == [3, 2, 1]
+    def test_discovery_and_reply_present(self, observed_run):
+        obs, net = observed_run
+        assert obs.ledger.chain((PacketKind.PATH_DISCOVERY, 0, 0))
+        assert relays(obs.ledger.chain(REPLY)) == [3, 2, 1]
+        # The reply reached the source: the path is known, discovery over.
+        assert net.protocols[0].table.knows(4)
+        assert not net.protocols[0]._discoveries
 
-    def test_events_time_ordered(self, traced_run):
-        tracer, net = traced_run
-        for journey in reconstruct_journeys(tracer).values():
-            times = [e.time for e in journey.events]
+    def test_events_time_ordered(self, observed_run):
+        obs, net = observed_run
+        for uid in obs.ledger.uids():
+            times = [e.time for e in obs.ledger.chain(uid)]
             assert times == sorted(times)
 
-    def test_candidates_recorded(self, traced_run):
-        tracer, net = traced_run
-        data = reconstruct_journeys(tracer)[("data", 0, 0)]
-        candidates = [e.node for e in data.events if e.action == "candidate"]
-        assert 1 in candidates  # node 1 competed for hop one
+    def test_candidates_recorded(self, observed_run):
+        obs, net = observed_run
+        state = net.protocols[1]._states[DATA]
+        assert state.armed_delay > 0  # node 1 competed for hop one
+        assert state.heard_from == 0
 
     def test_retransmissions_counted(self):
-        from repro.net.routeless import RoutelessConfig
-        tracer = Tracer()
+        obs = Observability()
         config = RoutelessConfig(arbiter_timeout_s=0.1, max_relay_retries=2)
-        net = line_network("routeless", n=3, tracer=tracer,
-                           protocol_config=config)
+        net = line_network("routeless", n=3, obs=obs, protocol_config=config)
         net.protocols[0].send_data(2)
         net.run(until=3.0)
         net.radios[1].set_power(False)   # relay dies; source will retry
         net.protocols[0].send_data(2)
         net.run(until=8.0)
-        journeys = reconstruct_journeys(tracer)
-        stuck = journeys[("data", 0, 1)]
-        assert not stuck.delivered
-        assert stuck.retransmissions >= 1
-
-    def test_accepts_plain_record_lists(self, traced_run):
-        tracer, net = traced_run
-        journeys = reconstruct_journeys(list(tracer.records))
-        assert ("data", 0, 0) in journeys
+        stuck = obs.ledger.chain((PacketKind.DATA, 0, 1))
+        assert net.protocols[0].arbiter_retransmits >= 1
+        assert [e.node for e in stuck if e.stage is PacketStage.TX] == [0, 0, 0]
+        assert not any(e.stage is PacketStage.DELIVER for e in stuck)
+        assert stuck[-1].reason is DropReason.NO_FORWARDER

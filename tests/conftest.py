@@ -13,7 +13,6 @@ from repro.phy.radio import RadioConfig, Transceiver
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -23,7 +22,7 @@ def sim() -> Simulator:
 
 @pytest.fixture
 def ctx() -> SimContext:
-    return SimContext(Simulator(), RandomStreams(42), Tracer())
+    return SimContext(Simulator(), RandomStreams(42))
 
 
 def line_positions(n: int, spacing: float = 200.0) -> np.ndarray:
@@ -56,7 +55,7 @@ def make_mac_stack(ctx: SimContext, positions: np.ndarray,
 
 
 def line_network(protocol: str, n: int = 5, spacing: float = 200.0,
-                 range_m: float = 250.0, seed: int = 1, tracer: Tracer | None = None,
+                 range_m: float = 250.0, seed: int = 1,
                  protocol_config=None, obs=None):
     """A full stack on a line topology running the named protocol."""
     scenario = ScenarioConfig(
@@ -65,5 +64,5 @@ def line_network(protocol: str, n: int = 5, spacing: float = 200.0,
         range_m=range_m,
         seed=seed,
     )
-    return build_protocol_network(protocol, scenario, tracer=tracer,
+    return build_protocol_network(protocol, scenario,
                                   protocol_config=protocol_config, obs=obs)

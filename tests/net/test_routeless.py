@@ -6,7 +6,8 @@ import pytest
 
 from repro.net.packet import PacketKind
 from repro.net.routeless import ActiveNodeTable, RelayPhase, RoutelessConfig
-from repro.sim.trace import Tracer
+from repro.obs.ledger import PacketStage
+from repro.obs.observe import Observability
 from tests.conftest import line_network, line_positions
 
 
@@ -123,13 +124,14 @@ class TestRelayElection:
         assert net.channel.tx_count_by_kind["net_ack"] >= 4
 
     def test_expected_hops_decreases_along_chain(self):
-        tracer = Tracer(kinds={"rr.relay"})
-        net = line_network("routeless", n=5, tracer=tracer)
+        obs = Observability()
+        net = line_network("routeless", n=5, obs=obs)
         net.protocols[0].send_data(4)
         net.run(until=5.0)
-        import re
-        levels = [int(re.search(r"eh=(\d+)", r.detail["packet"]).group(1))
-                  for r in tracer.records if "data(" in r.detail["packet"]]
+        levels = [e.detail["expected_hops"]
+                  for e in obs.ledger.chain((PacketKind.DATA, 0, 0))
+                  if e.stage is PacketStage.FORWARD]
+        assert len(levels) == 3
         assert levels == sorted(levels, reverse=True)
 
     def test_relay_state_machine_reaches_done(self):
@@ -214,12 +216,15 @@ class TestExpectedHopCeiling:
     def test_unknown_relay_does_not_inflate_expectation(self):
         # A node with no table entry for the target forwards with the chain's
         # expectation minus one, never more.
-        tracer = Tracer(kinds={"rr.relay"})
-        net = line_network("routeless", n=5, tracer=tracer)
+        net = line_network("routeless", n=5)
         net.protocols[0].send_data(4)
         net.run(until=5.0)
-        import re
-        for r in tracer.records:
-            match = re.search(r"ah=(\d+) eh=(\d+)", r.detail["packet"])
-            hops, expected = int(match.group(1)), int(match.group(2))
-            assert hops + expected <= 5  # never worse than the true diameter
+        # A relay armed on a copy it heard; an originator did not.
+        relayed = [state.forwarded for protocol in net.protocols
+                   for state in protocol._states.values()
+                   if state.forwarded is not None
+                   and state.heard_from is not None]
+        assert relayed
+        for packet in relayed:
+            # never worse than the true diameter
+            assert packet.actual_hops + packet.expected_hops <= 5

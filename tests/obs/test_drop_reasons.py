@@ -130,14 +130,6 @@ class TestDisabledObservability:
         assert net.metrics.delivered == 1
         assert net.ctx.obs is None and not net.ctx.observing
 
-    def test_disabled_flag_pauses_collection(self):
-        obs = Observability()
-        obs.enabled = False
-        net = line_network("counter1", n=3, obs=obs)
-        net.protocols[0].send_data(2)
-        net.run(until=5.0)
-        assert len(obs.ledger) == 0
-
     @pytest.mark.parametrize("protocol", ["ssaf", "routeless", "aodv",
                                           "gradient", "dsr", "dsdv"])
     def test_every_protocol_runs_observed(self, protocol):

@@ -62,15 +62,6 @@ def test_to_dict_is_json_safe():
     assert row["detail"] == {"hops": 5}
 
 
-def test_clear_resets_everything():
-    ledger = PacketLedger()
-    ledger.record(0.0, 1, "net", PacketStage.DROP, UID, DropReason.DUPLICATE)
-    ledger.clear()
-    assert len(ledger) == 0
-    assert ledger.total_drops() == 0
-    assert ledger.chain(UID) == []
-
-
 def test_rows_after_a_query_reach_every_view():
     ledger = PacketLedger()
     other = (PacketKind.DATA, 7, 0)

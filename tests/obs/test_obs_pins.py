@@ -9,6 +9,10 @@ observed run:
 * ``json.dumps(summarize(obs), sort_keys=True)`` — taken *before* any
   ``snapshot()`` call, and again after it.
 
+Each cell also runs once with no :class:`Observability` attached: its
+:class:`~repro.experiments.result.ExperimentResult` must equal the observed
+run's, so no instrumentation site may steer the simulation.
+
 The ledger and the registry may change how they store and derive things,
 but never what they report: any change to these digests is a behaviour
 change and must be re-recorded deliberately, with a note in the commit.
@@ -79,7 +83,8 @@ def test_obs_outputs_are_pinned(key, tmp_path):
     if chaos:
         extra["faults"] = mixed_chaos_plan(spec.config.n_nodes)
     obs = Observability()
-    spec.run_one(protocol, x, seed, spec.config, obs=obs, **extra)
+    observed = spec.run_one(protocol, x, seed, spec.config, obs=obs, **extra)
+    assert spec.run_one(protocol, x, seed, spec.config, **extra) == observed
 
     # Summary first: it reads the registry before anything snapshots it.
     summary_before = json.dumps(summarize(obs), sort_keys=True)

@@ -4,13 +4,13 @@ import json
 
 from repro.net.packet import PacketKind
 from repro.obs.ledger import DropReason, PacketLedger, PacketStage
+from repro.obs.observe import Observability
 from repro.obs.timeline import (
     chrome_trace_events,
     to_chrome_trace,
     write_chrome_trace,
     write_jsonl,
 )
-from repro.sim.trace import TraceRecord
 
 UID = (PacketKind.DATA, 0, 0)
 
@@ -57,14 +57,19 @@ def test_metadata_names_layer_processes_and_node_threads():
     assert threads[(1, 0)] == "node 0" and threads[(1, 1)] == "node 1"
 
 
-def test_trace_records_land_in_trace_process():
-    record = TraceRecord(time=0.5, source="mac[7]", kind="backoff",
-                         detail={"slots": 3})
-    events = chrome_trace_events(PacketLedger(), [record])
-    (ev,) = by_name(events, "backoff")
-    assert ev["pid"] == 4 and ev["tid"] == 7
-    assert ev["cat"] == "mac"
-    assert ev["args"] == {"slots": "3"}
+def test_fault_rows_land_in_a_named_fault_process():
+    obs = Observability()
+    obs.on_fault(0.5, 7, "duty_cycle", "off")
+    obs.on_fault(0.9, 7, "duty_cycle", "on")
+    events = chrome_trace_events(obs.ledger)
+    faults = by_name(events, "fault")
+    assert len(faults) == 2
+    assert {(e["pid"], e["tid"], e["cat"]) for e in faults} == {(4, 7, "fault")}
+    assert faults[0]["args"]["kind"] == "duty_cycle"
+    assert faults[0]["args"]["action"] == "off"
+    names = {e["pid"]: e["args"]["name"]
+             for e in by_name(events, "process_name")}
+    assert names == {4: "fault"}
 
 
 def test_written_file_is_perfetto_loadable_json(tmp_path):

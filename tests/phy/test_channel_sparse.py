@@ -18,7 +18,6 @@ from repro.phy.propagation import (
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 from tests.phy.link_budget_reference import (
     assert_matches_reference,
     reference_distance,
@@ -31,7 +30,7 @@ from tests.phy.link_budget_reference import (
 def ctx_observed():
     from repro.obs.observe import Observability
     obs = Observability()
-    return SimContext(Simulator(), RandomStreams(42), Tracer(), obs=obs), obs
+    return SimContext(Simulator(), RandomStreams(42), obs=obs), obs
 
 
 MODEL = FreeSpace()
@@ -148,8 +147,8 @@ class TestShadowingAgainstReference:
     def test_boosted_link_beyond_plain_radius_kept(self, ctx):
         channel = make_channel(ctx, positions_for(150, 1500),
                                shadowing_sigma_db=6.0)
-        plain = make_channel(SimContext(Simulator(), RandomStreams(42),
-                                        Tracer()), channel.positions)
+        plain = make_channel(SimContext(Simulator(), RandomStreams(42)),
+                               channel.positions)
         reach, _, _ = reference_rows(channel)
         extra = sum(len(set(reach[i].tolist()) - set(plain._reach_ids[i]))
                     for i in range(150))

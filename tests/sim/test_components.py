@@ -1,10 +1,9 @@
-"""Tests for the component/port model and tracing."""
+"""Tests for the component/port model and the observing flag."""
 
 import pytest
 
 from repro.obs.observe import Observability
 from repro.sim.components import Component, Outport, PortNotConnected, SimContext
-from repro.sim.trace import NullTracer, Tracer
 from tests.conftest import line_network
 
 
@@ -85,29 +84,20 @@ class TestOutport:
 class TestSimContextFlags:
     def test_default_context_neither_traces_nor_observes(self):
         ctx = SimContext()
-        assert ctx.tracing is False
         assert ctx.observing is False
-
-    def test_tracing_reflects_tracer(self):
-        assert SimContext(tracer=Tracer()).tracing is True
-        assert SimContext(tracer=NullTracer()).tracing is False
-        paused = Tracer()
-        paused.enabled = False
-        assert SimContext(tracer=paused).tracing is False
+        # The packet ledger is the only per-event record: no second flag.
+        assert not hasattr(ctx, "tracing")
 
     def test_observing_reflects_observability(self):
         obs = Observability()
-        assert SimContext(obs=obs).observing is True
-        obs.enabled = False
-        assert SimContext(obs=obs).observing is False
+        ctx = SimContext(obs=obs)
+        assert ctx.observing is True
+        assert ctx.obs is obs
 
     def test_flags_are_fixed_when_the_context_is_built(self):
-        tracer, obs = Tracer(), Observability()
-        ctx = SimContext(tracer=tracer, obs=obs)
-        tracer.enabled = False
-        obs.enabled = False
-        assert ctx.tracing is True
-        assert ctx.observing is True
+        ctx = SimContext(obs=Observability())
+        # A plain attribute, not a property: one read per hot-path site.
+        assert "observing" in vars(ctx)
 
 
 class TestComponent:
@@ -119,14 +109,6 @@ class TestComponent:
         ctx.simulator.run()
         assert fired == ["x"]
         assert comp.now == 2.0
-
-    def test_trace_records_time_and_source(self, ctx):
-        comp = Component(ctx, "radio[3]")
-        comp.trace("event", detail=1)
-        record = ctx.tracer.records[0]
-        assert record.source == "radio[3]"
-        assert record.kind == "event"
-        assert record.detail == {"detail": 1}
 
     def test_rng_streams_are_per_component(self, ctx):
         a = Component(ctx, "a").rng()
@@ -165,40 +147,3 @@ class TestWiredNetwork:
         for record in phy_infos + mac_infos:
             assert not hasattr(record, "__dict__")
 
-
-class TestTracer:
-    def test_null_tracer_drops_everything(self):
-        tracer = NullTracer()
-        tracer.emit(1.0, "s", "k", a=1)
-        assert len(tracer) == 0
-
-    def test_kind_filter(self):
-        tracer = Tracer(kinds={"keep"})
-        tracer.emit(0.0, "s", "keep")
-        tracer.emit(0.0, "s", "drop")
-        assert [r.kind for r in tracer.records] == ["keep"]
-
-    def test_of_kind_iterates_matching(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "s", "a")
-        tracer.emit(0.0, "s", "b")
-        tracer.emit(0.0, "s", "a")
-        assert len(list(tracer.of_kind("a"))) == 2
-
-    def test_sink_callback(self):
-        seen = []
-        tracer = Tracer(sink=seen.append)
-        tracer.emit(0.0, "s", "k")
-        assert len(seen) == 1
-
-    def test_clear(self):
-        tracer = Tracer()
-        tracer.emit(0.0, "s", "k")
-        tracer.clear()
-        assert len(tracer) == 0
-
-    def test_disabled_tracer_skips(self):
-        tracer = Tracer()
-        tracer.enabled = False
-        tracer.emit(0.0, "s", "k")
-        assert len(tracer) == 0

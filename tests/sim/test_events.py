@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.engine import Simulator
 from repro.sim.events import EVENT_PRIORITY_DEFAULT, Event, EventHandle
-from repro.sim.trace import TraceRecord
 
 
 def make(time=1.0, priority=0, seq=0):
@@ -42,15 +41,6 @@ class TestSlots:
         with pytest.raises(AttributeError):
             make().bogus = 1
         assert not hasattr(Event, "__dict__") or "__dict__" not in Event.__slots__
-
-    def test_trace_record_has_no_dict(self):
-        record = TraceRecord(0.0, "src", "kind", {})
-        assert not hasattr(record, "__dict__")
-        assert TraceRecord.__slots__ == ("time", "source", "kind", "detail")
-        # Still frozen: assignment fails (FrozenInstanceError on 3.12+,
-        # TypeError on 3.10/3.11 — cpython gh-90562).
-        with pytest.raises((AttributeError, TypeError)):
-            record.time = 1.0
 
     def test_event_handle_is_slotted(self):
         # EventHandle aliases Event: one slotted object per scheduled event.
