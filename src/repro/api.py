@@ -55,17 +55,6 @@ ledger afterwards (see ``docs/FAULTS.md``)::
         NodeCrash(nodes=(7,), start_s=3.0, recover_s=6.0),))
     controller = install_plan(net, plan, exempt={0, 42})
 
-**Distribute campaigns** — :func:`run_campaign` takes an
-:class:`ExecutionBackend` (``"local-pool"``, ``"ssh"``, ``"job-array"``,
-or a custom one via :func:`register_backend`) plus :class:`DistOptions`;
-workers coordinate through expiring filesystem leases and a shared
-spool, so a killed worker's cells are stolen by peers (see
-``docs/DISTRIBUTED.md``)::
-
-    from repro.api import DistOptions, run_campaign
-    outcome = run_campaign(run_one, ..., backend="ssh",
-                           dist_options=DistOptions(hosts_file="hosts.txt"))
-
 **Serve results** — :class:`ReproServer` (or ``repro serve``) puts the
 campaign cache and executor behind a long-lived HTTP/JSON + SSE daemon
 with single-flight dedup and two-lane admission control;
@@ -87,14 +76,6 @@ from repro.campaign import (
     ResultCache,
     run_campaign,
     run_spec,
-)
-from repro.dist import (
-    DistOptions,
-    ExecutionBackend,
-    HostSpec,
-    check_hosts,
-    parse_hosts_file,
-    register_backend,
 )
 from repro.experiments import registry
 from repro.experiments.common import (
@@ -176,13 +157,6 @@ __all__ = [
     "registry",
     "run_campaign",
     "run_spec",
-    # distributed execution
-    "DistOptions",
-    "ExecutionBackend",
-    "HostSpec",
-    "check_hosts",
-    "parse_hosts_file",
-    "register_backend",
     # fault injection
     "ClockSkew",
     "DutyCycleOutage",

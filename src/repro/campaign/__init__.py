@@ -14,11 +14,7 @@ single-threaded runs.  This package turns one-shot sweeps into
   pool: per-cell timeouts, bounded retry with backoff,
   ``BrokenProcessPool`` recovery, and quarantine of persistently failing
   cells (reported, never fatal to their neighbours).  It is the one retry
-  loop: campaigns, the serving daemon and dist workers all run cells
-  through it;
-* :mod:`repro.campaign.backend` — the execution-backend protocol and
-  registry; the default ``local-pool`` backend runs cells under that
-  executor, and :mod:`repro.dist` adds multi-host backends;
+  loop: campaigns and the serving daemon both run cells through it;
 * :mod:`repro.campaign.journal` — a JSONL journal plus manifest per
   campaign directory, so a killed run resumed with ``resume=True``
   re-executes only the missing cells and reassembles bit-identical

@@ -20,7 +20,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.stats.metrics import MetricsSummary
 
@@ -129,10 +129,9 @@ class ResultCache:
                  source: str) -> None:
         """Publish a settled cell's result.
 
-        The one cache write of every execution path — the local-pool
-        backend (``source="local-pool"``), the serving daemon (``"serve"``)
-        and dist workers (``"dist"``) — so every entry carries the same
-        audit meta.  ``cell`` is anything with ``key``/``protocol``/``x``/
+        The one cache write of both execution paths — campaigns
+        (``source="local-pool"``) and the serving daemon (``"serve"``) — so
+        every entry carries the same audit meta.  ``cell`` is anything with ``key``/``protocol``/``x``/
         ``seed`` attributes.
         """
         self.put(cell.key, summary, meta={
@@ -177,33 +176,16 @@ class ResultCache:
             "hit_ratio": self.hit_ratio,
         }
 
-    def key_of(self, path: Path) -> str:
-        """Invert :meth:`_path`: the content address an entry file stores."""
-        return path.parent.name + path.stem
-
-    def gc(self, older_than_s: float, *, now: float | None = None,
-           protect: "Iterable[str] | None" = None) -> dict:
+    def gc(self, older_than_s: float, *, now: float | None = None) -> dict:
         """Remove entries whose mtime is more than ``older_than_s`` seconds
         old (quarantined ``.corrupt`` files are always collected).
-
-        ``protect`` is a set of cell keys that must survive regardless of
-        age — a running campaign's in-flight work (live spool leases plus
-        unsettled spooled cells), so a gc racing a distributed sweep never
-        evicts a result a worker just published or is about to re-read.
-        Returns ``{"removed": n, "freed_bytes": n, "kept": n,
-        "protected": n}``."""
+        Returns ``{"removed": n, "freed_bytes": n, "kept": n}``."""
         cutoff = (time.time() if now is None else now) - older_than_s
-        protected_keys = set(protect) if protect is not None else set()
-        removed = freed = kept = protected = 0
+        removed = freed = kept = 0
         for path in self.root.glob("??/*"):
             if path.suffix not in (".json", ".corrupt"):
                 continue
             try:
-                if (path.suffix == ".json"
-                        and self.key_of(path) in protected_keys):
-                    protected += 1
-                    kept += 1
-                    continue
                 stat = path.stat()
                 if path.suffix == ".corrupt" or stat.st_mtime < cutoff:
                     os.unlink(path)
@@ -213,5 +195,4 @@ class ResultCache:
                     kept += 1
             except OSError:  # already gone: a concurrent gc won the race
                 continue
-        return {"removed": removed, "freed_bytes": freed, "kept": kept,
-                "protected": protected}
+        return {"removed": removed, "freed_bytes": freed, "kept": kept}

@@ -75,10 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help=f"cache root (default {DEFAULT_CACHE_DIR})")
     gc.add_argument("--dry-run", action="store_true",
                     help="report what would be removed without unlinking")
-    gc.add_argument("--campaign-dir", metavar="DIR", action="append",
-                    default=[], dest="campaign_dirs",
-                    help="protect a running campaign's in-flight cells "
-                         "(live spool leases + unsettled cells); repeatable")
     return parser
 
 
@@ -98,25 +94,14 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _protected_keys(campaign_dirs: list[str]) -> set[str]:
-    from repro.dist.spool import live_spool_keys
-    keys: set[str] = set()
-    for directory in campaign_dirs:
-        keys |= live_spool_keys(directory)
-    return keys
-
-
 def _cmd_gc(args) -> int:
     cache = ResultCache(args.cache_dir)
-    protect = _protected_keys(args.campaign_dirs)
     if args.dry_run:
         import time
         cutoff = time.time() - args.older_than
         doomed = []
         for path in cache.root.glob("??/*"):
             try:
-                if path.suffix == ".json" and cache.key_of(path) in protect:
-                    continue
                 if (path.suffix == ".corrupt"
                         or (path.suffix == ".json"
                             and path.stat().st_mtime < cutoff)):
@@ -125,16 +110,12 @@ def _cmd_gc(args) -> int:
                 continue
         size = sum(p.stat().st_size for p in doomed if p.exists())
         print(f"would remove {len(doomed)} file(s), "
-              f"freeing {_human_bytes(size)}"
-              + (f" (protecting {len(protect)} in-flight cells)"
-                 if protect else ""))
+              f"freeing {_human_bytes(size)}")
         return 0
-    report = cache.gc(args.older_than, protect=protect)
+    report = cache.gc(args.older_than)
     print(f"removed {report['removed']} file(s), "
           f"freed {_human_bytes(report['freed_bytes'])}, "
-          f"kept {report['kept']}"
-          + (f" ({report['protected']} in-flight protected)"
-             if report.get("protected") else ""))
+          f"kept {report['kept']}")
     return 0
 
 

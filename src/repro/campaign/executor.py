@@ -253,8 +253,12 @@ class FaultTolerantExecutor:
                     inflight[future] = (task, deadline)
 
                 if not inflight:
-                    # Everything is backing off; sleep until the earliest wakes.
-                    time.sleep(max(0.001, min(t.ready_at for t in waiting) - now))
+                    if not pending:
+                        # Everything is backing off; sleep until the earliest
+                        # wakes.  (Cells still pending after a submit found
+                        # the pool broken go straight to the rebuilt pool.)
+                        time.sleep(max(0.001,
+                                       min(t.ready_at for t in waiting) - now))
                     continue
 
                 done, _ = wait(set(inflight), timeout=cfg.poll_s,

@@ -9,10 +9,9 @@ three-level lookup:
    directory's journal are replayed without touching the cache or pool;
 2. **cache** — cells whose content address is present in the result cache
    are hits, recorded to the journal, never executed;
-3. **execution** — everything else goes to an execution backend
-   (:mod:`repro.campaign.backend`; ``local-pool`` by default), which runs it
-   under the fault-tolerant executor (timeouts, retries, pool recovery,
-   quarantine) and publishes each result to the cache.
+3. **execution** — everything else runs in the local process pool under
+   the fault-tolerant executor (timeouts, retries, pool recovery,
+   quarantine), and each result is published to the cache.
 
 Results are reassembled in canonical grid order — the exact nested-loop
 order the serial runners use — so the returned ``{protocol: SweepSeries}``
@@ -28,13 +27,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.campaign.backend import BackendRun, DistOptions, get_backend
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import (
     Cell,
     CellFailure,
     ExecutorConfig,
+    FaultTolerantExecutor,
     ObservedResult,
+    ObservedRunner,
     split_observed,
 )
 from repro.campaign.fingerprint import (
@@ -99,8 +99,6 @@ def run_campaign(
     backoff_s: float = 0.05,
     observe: bool = False,
     progress: Callable[[ProgressEvent], None] | None = None,
-    backend: Any = None,
-    dist_options: Any = None,
 ) -> CampaignOutcome:
     """Settle the full grid and return results, telemetry, and quarantine.
 
@@ -108,15 +106,11 @@ def run_campaign(
     (serial or pooled) sweep with retry protection — the migration path for
     the figure runners costs nothing when durability isn't requested.
 
-    ``backend`` selects how cells that need execution are run: ``None`` or
-    ``"local-pool"`` is the in-process fault-tolerant pool; ``"ssh"`` fans
-    out to multi-host workers over a shared spool; ``"job-array"`` emits
-    shard manifests plus batch submit scripts (see :mod:`repro.dist` and
-    docs/DISTRIBUTED.md).  A backend instance is accepted as well as a
-    name.  ``dist_options`` is a :class:`repro.dist.DistOptions` (hosts
-    file, lease TTL, shards...).  Every backend is reached through
-    :func:`repro.campaign.backend.get_backend` and publishes the results
-    it executes to the cache itself.
+    Cells that need execution run under
+    :class:`~repro.campaign.executor.FaultTolerantExecutor` (serial when
+    ``workers`` is 1), wrapped in
+    :class:`~repro.campaign.executor.ObservedRunner` when ``observe`` is
+    set; each result is published to the cache as it settles.
     """
     name = runner_name if runner_name is not None else runner_name_of(run_one)
     extra = dict(extra_kwargs or {})
@@ -195,6 +189,8 @@ def run_campaign(
     if to_execute:
         def on_success(cell: Cell, result, attempts: int, wall_s: float):
             summary, obs_snapshot = split_observed(result)
+            if cache is not None:
+                cache.put_cell(cell, summary, runner=name, source="local-pool")
             if obs_snapshot is not None:
                 telemetry.record_obs(obs_snapshot)
             record = CellRecord(key=cell.key, protocol=cell.protocol,
@@ -227,26 +223,15 @@ def run_campaign(
                         cell=_cell_label(cell.protocol, cell.x, cell.seed),
                         attempt=attempts, error=error)
 
-        backend = backend or "local-pool"
-        backend_obj = (get_backend(backend) if isinstance(backend, str)
-                       else backend)
-        run = BackendRun(
-            run_one=run_one, config=config, extra_kwargs=extra,
-            cells=to_execute,
+        executor = FaultTolerantExecutor(
+            ObservedRunner(run_one) if observe else run_one, config,
+            extra_kwargs=extra,
             executor_config=ExecutorConfig(
                 max_workers=max(1, workers), timeout_s=timeout_s,
                 max_retries=max_retries, backoff_s=backoff_s),
-            on_success=on_success, on_quarantine=on_quarantine,
-            on_retry=on_retry, observe=observe, runner_name=name,
-            cache=cache,
-            cache_dir=str(cache_dir) if cache_dir is not None else None,
-            campaign_dir=(str(campaign_dir) if campaign_dir is not None
-                          else None),
-            options=dist_options or DistOptions(),
+            on_retry=on_retry,
         )
-        dist_stats = backend_obj.execute(run) or {}
-        if dist_stats:
-            telemetry.record_dist(dist_stats)
+        executor.run(to_execute, on_success, on_quarantine)
 
     # Reassemble in canonical grid order — the serial runners' loop order —
     # so per-x sample lists (and thus means/stderrs) are bit-identical.
@@ -266,7 +251,7 @@ def run_campaign(
     if journal is not None:
         # Durable campaigns keep their latest telemetry next to the journal
         # so `repro obs summary --campaign-dir DIR` (and any later tooling)
-        # can read steal/heartbeat/throughput counters without a rerun.
+        # can read throughput and obs counters without a rerun.
         journal.write_summary(summary)
     return CampaignOutcome(results=results, summary=summary,
                            quarantined=quarantined, records=records)

@@ -70,9 +70,6 @@ class CampaignTelemetry:
         #: :meth:`record_obs`); ``None`` until the first snapshot arrives.
         self._obs_registry = None
         self.obs_cells = 0
-        #: Distributed-backend stats (steals, heartbeats, worker deaths);
-        #: ``None`` for local-pool campaigns.  See :meth:`record_dist`.
-        self.dist: Optional[dict] = None
 
     # ------------------------------------------------------------ recording
 
@@ -100,20 +97,6 @@ class CampaignTelemetry:
             self._obs_registry = MetricsRegistry()
         self._obs_registry.merge_snapshot(snapshot)
         self.obs_cells += 1
-
-    def record_dist(self, stats: dict) -> None:
-        """Attach a distributed backend's run stats.  A metrics-registry
-        snapshot under ``stats["obs_snapshot"]`` (per-host steal/heartbeat
-        counters) is folded into the campaign's observability aggregate
-        without counting as an observed cell."""
-        stats = dict(stats)
-        snapshot = stats.pop("obs_snapshot", None)
-        self.dist = stats
-        if snapshot:
-            from repro.obs.registry import MetricsRegistry
-            if self._obs_registry is None:
-                self._obs_registry = MetricsRegistry()
-            self._obs_registry.merge_snapshot(snapshot)
 
     @property
     def obs_snapshot(self) -> Optional[dict]:
@@ -187,7 +170,6 @@ class CampaignTelemetry:
                if self._obs_registry is not None else None)
         return {
             "obs": obs,
-            "dist": self.dist,
             "total_cells": self.total,
             "completed": self.completed,
             "executed": self.executed,

@@ -19,9 +19,6 @@
     python -m repro.experiments query fig1 --protocol ssaf -x 1.0 --seed 1
     python -m repro.experiments cache stats
     python -m repro.experiments cache gc --older-than 7d
-    python -m repro.experiments campaign fig1 --backend ssh --hosts hosts.txt --resume
-    python -m repro.experiments campaign fig1 --backend job-array --shards 16
-    python -m repro.experiments hosts check --hosts hosts.txt --shared-dir campaigns
     python -m repro.experiments list
 
 The ``serve`` form starts the long-lived result-serving daemon (HTTP/JSON
@@ -56,13 +53,6 @@ flags work directly on the fig commands too.
 ``--faults PLAN.json`` injects a :class:`~repro.faults.plan.FaultPlan` into
 every cell of a campaign (the plan joins the cell's content address, so
 faulted and fault-free results never collide in the cache).
-
-``--backend`` picks the execution backend for campaign cells:
-``local-pool`` (default, in-process pool), ``ssh`` (multi-host workers
-pulling from a shared spool via expiring leases — ``--hosts``,
-``--lease-ttl``), or ``job-array`` (emit sharded manifests + SLURM/PBS
-submit scripts — ``--shards``, ``--dist-wait``).  ``hosts check``
-preflights a hosts file.  See docs/DISTRIBUTED.md.
 """
 
 from __future__ import annotations
@@ -130,24 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--faults", metavar="PLAN.json", default=None,
                         help="inject this FaultPlan into every sweep cell "
                              "(see docs/FAULTS.md)")
-    parser.add_argument("--backend", default=None,
-                        choices=("local-pool", "ssh", "job-array"),
-                        help="execution backend for campaign cells "
-                             "(default local-pool; see docs/DISTRIBUTED.md)")
-    parser.add_argument("--hosts", metavar="FILE", default=None,
-                        help="hosts file for --backend ssh (host workers=N "
-                             "per line; 'local' runs agents without ssh)")
-    parser.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="SEC",
-                        help="work-lease TTL: a worker silent this long has "
-                             "its cell stolen by a peer (default "
-                             "%(default)s)")
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help="shard count for --backend job-array "
-                             "(default: one per ~500 cells)")
-    parser.add_argument("--dist-wait", action="store_true",
-                        help="job-array: stay up and fold results as "
-                             "externally-run shards settle them")
     parser.add_argument("--summary-json", metavar="PATH",
                         help="write the campaign telemetry summary as JSON")
     parser.add_argument("--quiet", action="store_true",
@@ -230,23 +202,6 @@ def _export(results: dict, args) -> None:
         print(f"wrote {args.json}")
 
 
-def _dist_kwargs(args) -> dict:
-    """``backend``/``dist_options`` keyword arguments from the CLI flags."""
-    backend = getattr(args, "backend", None)
-    if backend is None or backend == "local-pool":
-        return {}
-    from repro.dist import DistOptions
-    return {
-        "backend": backend,
-        "dist_options": DistOptions(
-            hosts_file=getattr(args, "hosts", None),
-            lease_ttl_s=getattr(args, "lease_ttl", 30.0),
-            shards=getattr(args, "shards", None),
-            wait=getattr(args, "dist_wait", False),
-        ),
-    }
-
-
 def _run_campaign_command(name: str, args) -> int:
     from repro.campaign import run_spec
     from repro.campaign.journal import ManifestMismatch
@@ -281,20 +236,10 @@ def _run_campaign_command(name: str, args) -> int:
             max_retries=args.retries,
             observe=args.observe,
             progress=progress,
-            **_dist_kwargs(args),
         )
     except ManifestMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dist = outcome.summary.get("dist")
-    if dist and dist.get("pending"):
-        print(f"\nspooled {dist['cells_spooled']} cells into "
-              f"{dist['shards']} shard(s) under {dist['spool']}")
-        for script in dist.get("scripts", ()):
-            print(f"  submit: {script}")
-        print("after the array completes, re-run this command with "
-              "--resume to fold the results")
-        return 0
     _print_panels(name, outcome.results)
     _report_campaign(outcome, args)
     _export(outcome.results, args)
@@ -311,14 +256,6 @@ def _report_campaign(outcome, args) -> None:
           f"throughput: {summary['cells_per_sec']:.2f} cells/s  "
           f"elapsed: {summary['elapsed_s']:.1f}s  "
           f"retries: {summary['retries']}")
-    dist = summary.get("dist")
-    if dist and not dist.get("pending"):
-        print(f"dist[{dist.get('backend', '?')}]: "
-              f"{dist.get('workers_launched', dist.get('workers', 0))} "
-              f"workers, {dist.get('workers_died', 0)} died, "
-              f"{dist.get('steals', 0)} steals, "
-              f"{dist.get('heartbeats', 0)} heartbeats"
-              + (", inline fallback" if dist.get("inline_fallback") else ""))
     obs = summary.get("obs")
     if obs is not None:
         drops = obs["metrics"].get("repro_drops_total", {}).get("samples", {})
@@ -357,10 +294,6 @@ def _list_experiments() -> int:
     print("serving: python -m repro.experiments serve [--port N] / "
           "query <exp> --protocol P -x X --seed S / cache {stats,gc} "
           "(see docs/SERVING.md)")
-    print("distributed: python -m repro.experiments campaign <exp> "
-          "--backend {ssh,job-array} [--hosts FILE] [--lease-ttl SEC] "
-          "[--shards N] / hosts check --hosts FILE "
-          "(see docs/DISTRIBUTED.md)")
     return 0
 
 
@@ -387,9 +320,6 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "profile":
         from repro.experiments.profile_cli import main as profile_main
         return profile_main(argv[1:])
-    if argv and argv[0] == "hosts":
-        from repro.dist.hosts import main as hosts_main
-        return hosts_main(argv[1:])
 
     args = build_parser().parse_args(argv)
 
@@ -431,8 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     plan = _load_fault_plan(args)
     wants_campaign = (args.workers > 1 or args.cache_dir or args.resume
                       or args.campaign_dir or args.timeout is not None
-                      or plan is not None or args.mobility is not None
-                      or (args.backend not in (None, "local-pool")))
+                      or plan is not None or args.mobility is not None)
     spec = _campaign_spec(args.experiment) if wants_campaign else None
     if spec is not None:
         from repro.campaign import run_spec
@@ -447,7 +376,6 @@ def main(argv: list[str] | None = None) -> int:
                 timeout_s=args.timeout,
                 max_retries=args.retries,
                 observe=args.observe,
-                **_dist_kwargs(args),
             )
         except ManifestMismatch as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@
 
 ``summary --campaign-dir`` reads a finished (or running) campaign's
 persisted ``summary.json`` instead of executing anything: settlement
-counts, cell wall-time percentiles, and — for distributed runs — the
-backend's per-host worker/steal/heartbeat counters.
+counts and cell wall-time percentiles.
 
 The cell forms run exactly one cell of the named experiment's campaign grid
 (defaults: first protocol, first x, first seed) with a fresh
@@ -69,9 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write the summary dict as JSON")
     p_summary.add_argument("--campaign-dir", metavar="DIR", default=None,
                            help="summarize a campaign directory's persisted "
-                                "summary.json (incl. distributed "
-                                "steal/heartbeat counters) instead of "
-                                "running a cell")
+                                "summary.json instead of running a cell")
 
     p_export = sub.add_parser(
         "export", help="export the packet-lifecycle timeline")

@@ -117,7 +117,7 @@ class ElectionFlooding(NetworkProtocol):
             if self.ctx.observing:
                 self.obs_drop(packet, DropReason.DUPLICATE)
             return
-        timer = self._timers.get(packet.uid)
+        timer = self._timers.pop(packet.uid, None)
         if timer is not None and timer.suppress():
             self.suppressed += 1
             if self.ctx.observing:

@@ -94,9 +94,7 @@ def summarize(obs: "Observability") -> dict:
 
 def format_campaign_summary(summary: dict) -> str:
     """Render a campaign telemetry summary (``summary.json`` from the
-    campaign directory) — settlement counts, wall-time percentiles, the
-    distributed backend's worker/steal/heartbeat counters, and any
-    campaign-wide observability counters (``repro_dist_*`` included)."""
+    campaign directory) — settlement counts and wall-time percentiles."""
     lines: list[str] = []
     runner = summary.get("runner", "?")
     lines.append(f"campaign: {runner}")
@@ -113,46 +111,6 @@ def format_campaign_summary(summary: dict) -> str:
             f"p90 {wall['p90']:.2f}s  p99 {wall['p99']:.2f}s "
             f"({wall['count']} executed)")
 
-    dist = summary.get("dist")
-    if dist:
-        lines.append(f"\ndistributed backend: {dist.get('backend', '?')}")
-        if dist.get("pending"):
-            lines.append(
-                f"  pending: {dist.get('cells_spooled', 0)} cells spooled "
-                f"into {dist.get('shards', '?')} shard(s); submit "
-                f"{', '.join(dist.get('scripts', ()))}")
-        else:
-            lines.append(
-                f"  workers: {dist.get('workers_launched', dist.get('workers', 0))}"
-                f" launched, {dist.get('workers_died', 0)} died"
-                + (", inline fallback ran"
-                   if dist.get("inline_fallback") else ""))
-            lines.append(f"  lease TTL: {dist.get('lease_ttl_s', '?')}s")
-            lines.append(f"  steals: {dist.get('steals', 0)} "
-                         f"(lost races {dist.get('lost_steals', 0)})  "
-                         f"heartbeats: {dist.get('heartbeats', 0)}")
-            for host, bucket in sorted(dist.get("hosts", {}).items()):
-                lines.append(
-                    f"    {host:<20} workers={bucket.get('workers', 0)} "
-                    f"done={bucket.get('cells_done', 0)} "
-                    f"steals={bucket.get('steals', 0)} "
-                    f"heartbeats={bucket.get('heartbeats', 0)}")
-
-    obs = summary.get("obs")
-    if obs and obs.get("metrics"):
-        families = obs["metrics"]
-        shown = []
-        for name in sorted(families):
-            if not name.startswith("repro_dist_"):
-                continue
-            family = families[name]
-            samples = family.get("samples", {})
-            total = sum(v for v in samples.values()
-                        if isinstance(v, (int, float)))
-            shown.append(f"  {name:<32} {total:>10.0f}")
-        if shown:
-            lines.append("\ndist counters (campaign obs registry):")
-            lines.extend(shown)
     return "\n".join(lines)
 
 

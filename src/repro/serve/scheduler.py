@@ -13,8 +13,8 @@ A full lane refuses admission with :class:`AdmissionFull`, which the server
 maps to HTTP 429 plus a ``Retry-After`` estimated from the lane's queue
 depth and its observed per-cell wall time.
 
-Cells execute through the campaign subsystem's code, the same code the
-local-pool backend and dist workers run:
+Cells execute through the campaign subsystem's code, the same code
+campaigns run:
 :class:`~repro.campaign.executor.FaultTolerantExecutor` in serial mode (in a
 worker thread via :func:`asyncio.to_thread`) for retry and quarantine,
 :class:`~repro.campaign.executor.ObservedRunner` for the per-cell obs

@@ -29,7 +29,7 @@ class FakeConfig:
 def make_summary(protocol: str, x: float, seed: int,
                  config: FakeConfig) -> MetricsSummary:
     # crc32, not hash(): builtin hashing is salted per interpreter, and
-    # dist workers are fresh processes — results must agree bit-for-bit
+    # pool workers are fresh processes — results must agree bit-for-bit
     # across process boundaries.
     base = zlib.crc32(protocol.encode()) % 97 / 100.0
     return MetricsSummary(
@@ -93,13 +93,6 @@ def sleepy_run_one(protocol, x, seed, config):
     """Hangs on the (slow, 1.0, *) cells — for timeout tests (process mode)."""
     if protocol == "slow" and x == 1.0:
         time.sleep(60.0)
-    return make_summary(protocol, x, seed, config)
-
-
-def slowish_run_one(protocol, x, seed, config):
-    """Takes ~0.3 s per cell — long enough for a lease-contention test to
-    SIGKILL a worker mid-cell, short enough to keep the suite fast."""
-    time.sleep(0.3)
     return make_summary(protocol, x, seed, config)
 
 

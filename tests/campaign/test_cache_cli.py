@@ -94,5 +94,4 @@ def test_gc_reports_kept(tmp_path, capsys):
     cache.put(KEY_A, SUMMARY)
     cache.put(KEY_B, SUMMARY)
     report = cache.gc(older_than_s=3600.0)
-    assert report == {"removed": 0, "freed_bytes": 0, "kept": 2,
-                      "protected": 0}
+    assert report == {"removed": 0, "freed_bytes": 0, "kept": 2}

@@ -1,5 +1,7 @@
 """Fault-tolerant executor: retries, quarantine, timeouts, pool recovery."""
 
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.campaign.executor import (
@@ -135,3 +137,32 @@ class TestProcessPool:
         assert ex.pool_rebuilds >= 1
         dies = [(c, a) for c, _s, a in done if c.protocol == "dies"]
         assert dies[0][1] >= 2
+
+    def test_pool_found_broken_at_submit_is_rebuilt(self, monkeypatch):
+        # A worker can die between loop iterations, so the next submit
+        # raises instead of a future; the cell must go to a fresh pool.
+        class DeadPool:
+            _processes = {}
+
+            def submit(self, *args, **kwargs):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, **kwargs):
+                pass
+
+        done, quarantined, on_done, on_q = collect()
+        ex = FaultTolerantExecutor(
+            fakes.counting_run_one, FakeConfig(),
+            executor_config=ExecutorConfig(max_workers=2))
+        real_new_pool = ex._new_pool
+        pools = []
+
+        def new_pool():
+            pools.append(real_new_pool() if pools else DeadPool())
+            return pools[-1]
+
+        monkeypatch.setattr(ex, "_new_pool", new_pool)
+        ex.run(cells(("a", 1.0, 1)), on_done, on_q)
+        assert not quarantined
+        assert [(c.protocol, a) for c, _s, a in done] == [("a", 1)]
+        assert len(pools) == 2

@@ -114,9 +114,9 @@ class TestSummary:
     def test_write_read_roundtrip(self, tmp_path):
         journal = CampaignJournal(tmp_path)
         assert journal.read_summary() is None
-        journal.write_summary({"completed": 8, "dist": {"steals": 2}})
+        journal.write_summary({"completed": 8, "cell_wall_s": {"p50": 0.5}})
         assert journal.read_summary() == {"completed": 8,
-                                          "dist": {"steals": 2}}
+                                          "cell_wall_s": {"p50": 0.5}}
 
     def test_unjsonable_values_are_stringified(self, tmp_path):
         journal = CampaignJournal(tmp_path)

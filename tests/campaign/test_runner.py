@@ -7,15 +7,18 @@
   reports a 100 % cache-hit ratio; config/seed changes invalidate exactly
   the affected cells;
 * quarantine — a persistently failing cell is retried, then reported in the
-  summary without failing the other cells.
+  summary without failing the other cells;
+* worker death — a pool worker killed mid-cell costs a retry, not a cell:
+  the journal and the cache still hold every result exactly once.
 """
 
 import dataclasses
+import json
 
 import pytest
 
-from repro.campaign import run_campaign
-from repro.campaign.journal import ManifestMismatch
+from repro.campaign import ResultCache, run_campaign
+from repro.campaign.journal import CampaignJournal, ManifestMismatch
 from repro.stats.series import METRIC_FIELDS
 from tests.campaign import fakes
 from tests.campaign.fakes import FakeConfig, InterruptAfter, make_summary
@@ -243,3 +246,30 @@ class TestTelemetry:
         parallel = run_campaign(fakes.counting_run_one,
                                 **grid_kwargs(workers=2))
         assert_identical(serial.results, parallel.results)
+
+
+class TestWorkerDeath:
+    def test_killed_worker_settles_every_cell_once(self, tmp_path):
+        config = FakeConfig(flag_dir=str(tmp_path))
+        kwargs = grid_kwargs(config=config,
+                             protocols=("dies", "ok"), workers=2,
+                             campaign_dir=tmp_path / "campaign",
+                             cache_dir=tmp_path / "cache")
+        first = run_campaign(fakes.dying_run_one, **kwargs)
+        assert not first.quarantined
+        assert first.summary["executed"] == GRID_SIZE
+        assert first.summary["retries"] >= 1  # the dead worker's cells
+
+        journal = CampaignJournal(tmp_path / "campaign")
+        records = [json.loads(line)
+                   for line in journal.journal_path.read_text().splitlines()]
+        done = [r["key"] for r in records if r["status"] == "done"]
+        assert sorted(done) == sorted(first.records)  # one each, none twice
+        assert not [r for r in records if r["status"] == "quarantined"]
+        cache = ResultCache(tmp_path / "cache")
+        assert all(cache.get(key) is not None for key in first.records)
+
+        replay = run_campaign(fakes.dying_run_one, **kwargs)
+        assert replay.summary["executed"] == 0
+        assert replay.summary["cache_hit_ratio"] == 1.0
+        assert_identical(first.results, replay.results)

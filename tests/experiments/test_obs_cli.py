@@ -4,11 +4,13 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec
+from repro.campaign import CampaignSpec, run_campaign
 from repro.experiments import cli, obs_cli
 from repro.experiments.registry import campaign_capable
 from repro.net.packet import PacketKind
 from repro.obs.ledger import DropReason, PacketStage
+from tests.campaign import fakes
+from tests.campaign.fakes import FakeConfig
 
 
 def fake_run_one(protocol, x, seed, config, obs=None, **extra):
@@ -74,6 +76,29 @@ class TestExport:
     def test_export_without_paths_errors(self, fake_spec, capsys):
         assert obs_cli.main(["export", "fakeexp"]) == 2
         assert "--chrome" in capsys.readouterr().err
+
+
+class TestCampaignSummary:
+    def test_renders_summary_json_of_a_campaign(self, tmp_path, capsys):
+        run_campaign(fakes.counting_run_one, runner_name="fake",
+                     protocols=("alpha", "beta"), xs=(1.0, 2.0), seeds=(1,),
+                     config=FakeConfig(), campaign_dir=tmp_path / "camp")
+        json_out = tmp_path / "summary.json"
+        assert obs_cli.main(["summary", "--campaign-dir",
+                             str(tmp_path / "camp"),
+                             "--json", str(json_out)]) == 0
+        out = capsys.readouterr().out
+        assert "campaign: fake" in out
+        assert "cells: 4/4 (executed 4, cache hits 0, resumed 0, " \
+               "quarantined 0)" in out
+        assert "cell wall: mean" in out and "(4 executed)" in out
+        assert json.loads(json_out.read_text())["executed"] == 4
+
+    def test_empty_campaign_dir_errors(self, tmp_path, capsys):
+        rc = obs_cli.main(["summary", "--campaign-dir",
+                           str(tmp_path / "empty")])
+        assert rc == 2
+        assert "no summary.json" in capsys.readouterr().err
 
 
 class TestErrors:

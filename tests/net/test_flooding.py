@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.backoff import RandomBackoff
+from repro.core.timer import CandidateState
 from repro.net.flooding import FloodingConfig
 from repro.net.packet import PacketKind
 from tests.conftest import line_network, line_positions
@@ -115,6 +116,27 @@ class TestSSAF:
                 count += len(net.metrics.deliveries)
             hops[protocol] = total / count
         assert hops["ssaf"] < hops["counter1"]
+
+
+    def test_lost_elections_release_their_timers(self):
+        # A node that hears the winner's copy drops its candidacy for good;
+        # keeping the suppressed timer (and its closure) would grow memory
+        # with every packet of a long run.
+        from repro.experiments.common import (
+            ScenarioConfig, attach_cbr, build_protocol_network, pick_flows)
+        from repro.sim.rng import RandomStreams
+
+        scenario = ScenarioConfig(n_nodes=30, width_m=600, height_m=600,
+                                  range_m=250, seed=1)
+        net = build_protocol_network("ssaf", scenario)
+        flows = pick_flows(30, 3, RandomStreams(1).stream("f"),
+                           distinct_endpoints=False)
+        attach_cbr(net, flows, interval_s=1.0, stop_s=4.0)
+        net.run(until=6.0)
+        assert sum(p.suppressed for p in net.protocols) > 0
+        held = [timer.state for p in net.protocols
+                for timer in p._timers.values()]
+        assert CandidateState.SUPPRESSED not in held
 
 
 class TestMetricsIntegration:
