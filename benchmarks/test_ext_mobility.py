@@ -8,14 +8,15 @@ and DSDV baselines the paper cites.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.ext_mobility import MobilityExpConfig, run_mobility
+from repro.experiments import registry
+from repro.experiments.ext_mobility import MobilityExpConfig
 from repro.stats.series import format_table
 from repro.viz.ascii_chart import line_chart
 
 
 def test_mobility_sweep(benchmark, report):
     config = MobilityExpConfig.active()
-    results = run_once(benchmark, run_mobility, config)
+    results = run_once(benchmark, registry.get("mobility").run, config)
 
     series = list(results.values())
     panels = []

@@ -7,14 +7,15 @@ grows with the node count; election routing's grows with the route length.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.ext_scaling import ScalingConfig, run_scaling
+from repro.experiments import registry
+from repro.experiments.ext_scaling import ScalingConfig
 from repro.stats.series import format_table
 from repro.viz.ascii_chart import line_chart
 
 
 def test_scaling_sweep(benchmark, report):
     config = ScalingConfig.active()
-    results = run_once(benchmark, run_scaling, config)
+    results = run_once(benchmark, registry.get("scaling").run, config)
 
     series = list(results.values())
     panels = []

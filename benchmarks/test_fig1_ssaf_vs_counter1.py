@@ -12,7 +12,8 @@ qualitative findings:
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig1_ssaf import Fig1Config, run_fig1
+from repro.experiments import registry
+from repro.experiments.fig1_ssaf import Fig1Config
 from repro.stats.series import format_table
 from repro.viz.ascii_chart import line_chart
 
@@ -30,7 +31,7 @@ def fig1_results():
 
 def test_fig1_sweep(benchmark, report, fig1_results):
     config = Fig1Config.active()
-    results = run_once(benchmark, run_fig1, config)
+    results = run_once(benchmark, registry.get("fig1").run, config)
     fig1_results.update(results)
 
     series = list(results.values())

@@ -8,7 +8,8 @@ qualitative findings.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig3_rr_vs_aodv import Fig3Config, run_fig3
+from repro.experiments import registry
+from repro.experiments.fig3_rr_vs_aodv import Fig3Config
 from repro.stats.series import format_table
 from repro.viz.ascii_chart import line_chart
 
@@ -22,7 +23,7 @@ PANELS = (
 
 def test_fig3_sweep(benchmark, report):
     config = Fig3Config.active()
-    results = run_once(benchmark, run_fig3, config)
+    results = run_once(benchmark, registry.get("fig3").run, config)
 
     series = list(results.values())
     panels = []

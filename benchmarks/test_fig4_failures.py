@@ -9,7 +9,8 @@ comparable delivery.
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.experiments.fig4_failures import Fig4Config, run_fig4
+from repro.experiments import registry
+from repro.experiments.fig4_failures import Fig4Config
 from repro.stats.series import format_table
 from repro.viz.ascii_chart import line_chart
 
@@ -23,7 +24,7 @@ PANELS = (
 
 def test_fig4_sweep(benchmark, report):
     config = Fig4Config.active()
-    results = run_once(benchmark, run_fig4, config)
+    results = run_once(benchmark, registry.get("fig4").run, config)
 
     series = list(results.values())
     panels = []

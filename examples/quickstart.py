@@ -15,17 +15,18 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import (
+from repro.api import (
+    BackoffInput,
     ElectionConfig,
     ElectionNode,
+    FreeSpace,
     FunctionBackoff,
     RandomBackoff,
+    ScenarioConfig,
     SignalStrengthBackoff,
+    build_network,
 )
-from repro.core.backoff import BackoffInput
-from repro.experiments.common import ScenarioConfig, build_network
-from repro.mac.csma import CsmaMac
-from repro.phy.propagation import FreeSpace, range_to_threshold_dbm
+from repro.phy.propagation import range_to_threshold_dbm
 
 
 def build_neighborhood(seed: int):

@@ -7,15 +7,17 @@ keyword-only (positional construction was never supported and is now a
 :class:`ExperimentResult`.  Anything imported from deeper module paths is
 internal and may move without notice.
 
-The surface, by task:
+The surface, by task (the simulator layers underneath — :class:`Simulator`
+and :class:`Channel`, the :class:`CsmaMac`, the election primitive and its
+backoff policies, and the protocols from :class:`SSAF` to :class:`Aodv` —
+are exported here too, for building custom stacks):
 
 **Build and run a network** — :class:`ScenarioConfig` describes one
 deployment (terrain, density, range, propagation, energy); pass it and a
 protocol factory to :func:`build_network`, attach workload with
 :func:`attach_cbr`, then ``net.run(until=...)``::
 
-    from repro.api import ScenarioConfig, build_network, attach_cbr
-    from repro import SSAF
+    from repro.api import SSAF, ScenarioConfig, attach_cbr, build_network
     net = build_network(
         lambda ctx, nid, mac, m: SSAF(ctx, nid, mac, metrics=m),
         ScenarioConfig(n_nodes=50, seed=7),
@@ -36,14 +38,18 @@ campaigns can sweep them (see ``docs/SCENARIOS.md``)::
                   config=GaussMarkovConfig(alpha=0.85))
 
 **Run experiment sweeps** — the :mod:`~repro.experiments.registry` maps
-experiment names to their sweep definitions; :func:`run_campaign` /
-:func:`run_spec` execute a :class:`CampaignSpec` with caching, journaling
-and multiprocess fan-out.  Every cell comes back as an
-:class:`ExperimentResult` (metrics dict + config fingerprint + seed +
-wall time)::
+experiment names to their sweep definitions, and ``ExperimentDef.run`` is
+the way to run one: it returns ``{protocol: SweepSeries}`` and raises if
+any cell is quarantined.  Its keyword arguments (``cache_dir``,
+``campaign_dir``, ``resume``, ``workers``, ...) go to :func:`run_spec`,
+which executes a :class:`CampaignSpec` with caching, journaling and
+multiprocess fan-out; call :func:`run_spec` (or :func:`run_campaign`)
+directly for the tolerant semantics that report quarantined cells and
+carry on.  Every cell comes back as an :class:`ExperimentResult` (metrics
+dict + config fingerprint + seed + wall time)::
 
-    from repro.api import registry, run_spec
-    outcome = run_spec(registry.get("fig3").build_spec(), workers=4)
+    from repro.api import registry
+    results = registry.get("fig3").run(workers=4)
 
 **Inject faults** — a :class:`FaultPlan` is a declarative, serializable,
 seed-reproducible chaos schedule; :func:`install_plan` arms it on a built
@@ -77,6 +83,18 @@ from repro.campaign import (
     run_campaign,
     run_spec,
 )
+from repro.core import (
+    BackoffInput,
+    BackoffPolicy,
+    ElectionConfig,
+    ElectionNode,
+    FunctionBackoff,
+    HopCountBackoff,
+    MutexConfig,
+    RandomBackoff,
+    SignalStrengthBackoff,
+    TokenMutex,
+)
 from repro.experiments import registry
 from repro.experiments.common import (
     Network,
@@ -104,6 +122,32 @@ from repro.faults import (
     install_plan,
     mixed_chaos_plan,
 )
+from repro.mac import CsmaMac, MacConfig
+from repro.net import (
+    SSAF,
+    ActiveNodeTable,
+    Aodv,
+    AodvConfig,
+    BlindFlooding,
+    Counter1Flooding,
+    Dsdv,
+    Dsr,
+    FloodingConfig,
+    GradientRouting,
+    Packet,
+    PacketKind,
+    RoutelessConfig,
+    RoutelessRouting,
+)
+from repro.phy import (
+    Channel,
+    FreeSpace,
+    LogDistance,
+    RadioConfig,
+    RayleighFading,
+    Transceiver,
+    TwoRayGround,
+)
 from repro.serve import (
     ReproServer,
     ServeClient,
@@ -111,7 +155,8 @@ from repro.serve import (
     ServeError,
     ServerThread,
 )
-from repro.stats import MetricsSummary, SweepSeries
+from repro.sim import RandomStreams, SimContext, Simulator
+from repro.stats import MetricsCollector, MetricsSummary, SweepSeries, format_table
 from repro.topology import (
     Arena,
     GaussMarkov3D,
@@ -121,12 +166,56 @@ from repro.topology import (
     RandomWaypoint,
     VirtualForceConfig,
     VirtualForceControl,
+    apply_failures,
+    connected_uniform,
+    grid,
     mobility_model,
     mobility_model_names,
     register_mobility_model,
+    uniform_random,
 )
 
 __all__ = [
+    # simulation kernel
+    "RandomStreams",
+    "SimContext",
+    "Simulator",
+    # radio and MAC
+    "Channel",
+    "CsmaMac",
+    "FreeSpace",
+    "LogDistance",
+    "MacConfig",
+    "RadioConfig",
+    "RayleighFading",
+    "Transceiver",
+    "TwoRayGround",
+    # the election primitive and its backoff policies
+    "BackoffInput",
+    "BackoffPolicy",
+    "ElectionConfig",
+    "ElectionNode",
+    "FunctionBackoff",
+    "HopCountBackoff",
+    "MutexConfig",
+    "RandomBackoff",
+    "SignalStrengthBackoff",
+    "TokenMutex",
+    # protocols
+    "ActiveNodeTable",
+    "Aodv",
+    "AodvConfig",
+    "BlindFlooding",
+    "Counter1Flooding",
+    "Dsdv",
+    "Dsr",
+    "FloodingConfig",
+    "GradientRouting",
+    "Packet",
+    "PacketKind",
+    "RoutelessConfig",
+    "RoutelessRouting",
+    "SSAF",
     # network construction
     "Network",
     "ScenarioConfig",
@@ -134,7 +223,7 @@ __all__ = [
     "build_network",
     "build_protocol_network",
     "pick_flows",
-    # geometry and mobility
+    # geometry, placement and mobility
     "Arena",
     "GaussMarkov3D",
     "GaussMarkovConfig",
@@ -143,17 +232,23 @@ __all__ = [
     "RandomWaypoint",
     "VirtualForceConfig",
     "VirtualForceControl",
+    "apply_failures",
+    "connected_uniform",
+    "grid",
     "mobility_model",
     "mobility_model_names",
     "register_mobility_model",
+    "uniform_random",
     # campaigns and results
     "CampaignOutcome",
     "CampaignSpec",
     "ExperimentResult",
+    "MetricsCollector",
     "MetricsSummary",
     "ResultCache",
     "SweepSeries",
     "config_fingerprint",
+    "format_table",
     "registry",
     "run_campaign",
     "run_spec",

@@ -33,22 +33,26 @@ choices, ``list`` output and campaign resolution here all read the registry.
 Adding an experiment requires zero CLI edits.
 
 Each figure command runs the sweep at the reduced default scale (or the
-paper's full parameters with ``--paper-scale``), prints the same panels the
-benchmark harness produces, and optionally exports the raw series.
+paper's full parameters with ``--paper-scale``), prints the experiment's
+panels and optionally exports the raw series.
+
+There is one sweep path: ``fig1`` and ``campaign fig1`` both go through the
+campaign runner with the same flags.  They differ only in defaults.  The
+``campaign`` form is a *durable campaign*: a content-addressed result cache
+(``--cache-dir``, default ``campaigns/cache``) and a per-campaign journal +
+manifest (``--campaign-dir``, default ``campaigns/<name>``) that makes a
+killed run resumable with ``--resume``, and its campaign summary always
+prints.  The fig form uses a cache or journal only when one is named, and
+prints the summary only when a cell was quarantined or ``--summary-json``
+is given.  Both take per-cell ``--timeout`` and ``--retries`` fault
+tolerance and print live progress on stderr (``--quiet`` silences it).  A
+sweep with a quarantined cell prints its ``QUARANTINED`` lines and exits 1.
 
 The ``bench`` form runs the hot-path microbenchmarks plus a small
 end-to-end fig1 cell, writes ``BENCH_kernel.json`` (op/s, wall time,
 events/sec, machine metadata) and exits non-zero when a benchmark regresses
 past the configurable threshold against the previous snapshot — see
 :mod:`repro.experiments.bench`.
-
-The ``campaign`` form runs the named experiment as a *durable campaign*: a
-content-addressed result cache (``--cache-dir``, default
-``campaigns/cache``), a per-campaign journal + manifest (``--campaign-dir``,
-default ``campaigns/<name>``) that makes a killed run resumable with
-``--resume``, per-cell ``--timeout`` and ``--retries`` fault tolerance, and
-live telemetry on stderr.  The same ``--cache-dir/--no-cache/--resume``
-flags work directly on the fig commands too.
 
 ``--faults PLAN.json`` injects a :class:`~repro.faults.plan.FaultPlan` into
 every cell of a campaign (the plan joins the cell's content address, so
@@ -145,7 +149,7 @@ def _campaign_spec(name: str):
 
 def _load_fault_plan(args):
     """The FaultPlan named by ``--faults``, or None."""
-    if getattr(args, "faults", None) is None:
+    if args.faults is None:
         return None
     from repro.faults import FaultPlan
     return FaultPlan.load(args.faults)
@@ -170,21 +174,15 @@ def _with_mobility(spec, mobility):
         spec, extra_kwargs={**dict(spec.extra_kwargs), "mobility": mobility})
 
 
-def _panel_layout(name: str) -> tuple[tuple, str]:
-    from repro.experiments import registry
-    definition = registry.get(name)
-    if definition is None:
-        return ("delivery_ratio",), "x"
-    return definition.panels, definition.x_label
-
-
 def _print_panels(name: str, results: dict) -> None:
+    from repro.experiments import registry
     from repro.stats.series import format_table
     from repro.viz.ascii_chart import line_chart
 
-    metrics, x_label = _panel_layout(name)
+    definition = registry.get(name)
+    x_label = definition.x_label
     series = list(results.values())
-    for metric in metrics:
+    for metric in definition.panels:
         print(f"\n=== {name}: {metric} ===")
         print(format_table(series, metric, x_label=x_label))
         print(line_chart({s.label: s.curve(metric) for s in series},
@@ -202,7 +200,16 @@ def _export(results: dict, args) -> None:
         print(f"wrote {args.json}")
 
 
-def _run_campaign_command(name: str, args) -> int:
+def _run_sweep(name: str, args, durable: bool) -> int:
+    """Run a registered sweep through the campaign runner, print its panels
+    and export its series.
+
+    ``durable`` is the ``campaign <name>`` form: its journal defaults to
+    ``campaigns/<name>`` and its cache to ``campaigns/cache``, and its
+    campaign summary always prints.  The fig form keeps both off unless
+    asked and prints the summary only when a cell was quarantined or
+    ``--summary-json`` is given.  Exits 1 when any cell was quarantined.
+    """
     from repro.campaign import run_spec
     from repro.campaign.journal import ManifestMismatch
     from repro.experiments import registry
@@ -214,12 +221,13 @@ def _run_campaign_command(name: str, args) -> int:
               f"(choose from: {capable})",
               file=sys.stderr)
         return 2
-    spec = _with_faults(spec, _load_fault_plan(args))
-    spec = _with_mobility(spec, getattr(args, "mobility", None))
+    spec = _with_mobility(_with_faults(spec, _load_fault_plan(args)),
+                          args.mobility)
 
-    campaign_dir = args.campaign_dir or os.path.join("campaigns", name)
-    cache_dir = None if args.no_cache else (args.cache_dir
-                                            or os.path.join("campaigns", "cache"))
+    campaign_dir, cache_dir = args.campaign_dir, args.cache_dir
+    if durable:
+        campaign_dir = campaign_dir or os.path.join("campaigns", name)
+        cache_dir = cache_dir or os.path.join("campaigns", "cache")
     progress = None
     if not args.quiet:
         def progress(event):
@@ -228,7 +236,7 @@ def _run_campaign_command(name: str, args) -> int:
     try:
         outcome = run_spec(
             spec,
-            cache_dir=cache_dir,
+            cache_dir=None if args.no_cache else cache_dir,
             campaign_dir=campaign_dir,
             resume=args.resume,
             workers=args.workers,
@@ -241,9 +249,10 @@ def _run_campaign_command(name: str, args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_panels(name, outcome.results)
-    _report_campaign(outcome, args)
+    if durable or outcome.quarantined or args.summary_json:
+        _report_campaign(outcome, args)
     _export(outcome.results, args)
-    return 0
+    return 1 if outcome.quarantined else 0
 
 
 def _report_campaign(outcome, args) -> None:
@@ -343,12 +352,12 @@ def main(argv: list[str] | None = None) -> int:
             print("usage: python -m repro.experiments campaign <experiment>",
                   file=sys.stderr)
             return 2
-        return _run_campaign_command(args.target, args)
+        return _run_sweep(args.target, args, durable=True)
 
     from repro.experiments import registry
     definition = registry.get(args.experiment)
 
-    if definition is not None and not definition.is_campaign:
+    if not definition.is_campaign:
         # Script experiments (fig2's maps, the chaos gate) run their own main.
         if args.csv or args.json:
             print(f"{args.experiment} is a script, not a series sweep; "
@@ -356,39 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         rc = definition.script()
         return int(rc) if rc is not None else 0
 
-    # Campaign features requested on a fig command route through the
-    # campaign runner; the bare command keeps the plain sweep path.
-    plan = _load_fault_plan(args)
-    wants_campaign = (args.workers > 1 or args.cache_dir or args.resume
-                      or args.campaign_dir or args.timeout is not None
-                      or plan is not None or args.mobility is not None)
-    spec = _campaign_spec(args.experiment) if wants_campaign else None
-    if spec is not None:
-        from repro.campaign import run_spec
-        from repro.campaign.journal import ManifestMismatch
-        try:
-            outcome = run_spec(
-                _with_mobility(_with_faults(spec, plan), args.mobility),
-                cache_dir=None if args.no_cache else args.cache_dir,
-                campaign_dir=args.campaign_dir,
-                resume=args.resume,
-                workers=args.workers,
-                timeout_s=args.timeout,
-                max_retries=args.retries,
-                observe=args.observe,
-            )
-        except ManifestMismatch as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        results = outcome.results
-        if outcome.quarantined or args.summary_json:
-            _report_campaign(outcome, args)
-    else:
-        results = definition.run()
-
-    _print_panels(args.experiment, results)
-    _export(results, args)
-    return 0
+    return _run_sweep(args.experiment, args, durable=False)
 
 
 if __name__ == "__main__":  # pragma: no cover

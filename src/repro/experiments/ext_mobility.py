@@ -27,7 +27,6 @@ from repro.experiments.common import (
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.sim.rng import RandomStreams
-from repro.stats.series import SweepSeries
 from repro.topology.mobility import (
     GaussMarkov3D,
     GaussMarkovConfig,
@@ -35,7 +34,7 @@ from repro.topology.mobility import (
     mobility_model,
 )
 
-__all__ = ["MobilityExpConfig", "campaign_spec", "run_mobility", "run_one"]
+__all__ = ["MobilityExpConfig", "campaign_spec", "run_one"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -119,34 +118,3 @@ def campaign_spec(config: MobilityExpConfig | None = None):
     return CampaignSpec(name="mobility", run_one=run_one,
                         protocols=config.protocols, xs=config.max_speeds_mps,
                         seeds=config.seeds, config=config)
-
-
-def run_mobility(config: MobilityExpConfig | None = None,
-                 **campaign_kwargs) -> dict[str, SweepSeries]:
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"mobility sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_mobility()
-    series = list(results.values())
-    for metric, label in (
-        ("delivery_ratio", "Delivery Ratio"),
-        ("avg_delay_s", "End-to-End Delay (s)"),
-        ("mac_packets", "Number of MAC Packets"),
-    ):
-        print(f"\n=== Extension: {label} vs Max Node Speed ===")
-        print(format_table(series, metric, x_label="speed_mps"))
-        print(line_chart({s.label: s.curve(metric) for s in series},
-                         title=label, x_label="max node speed (m/s)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,9 +29,8 @@ from repro.experiments.common import (
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.sim.rng import RandomStreams
-from repro.stats.series import SweepSeries
 
-__all__ = ["ScalingConfig", "campaign_spec", "run_scaling", "run_one"]
+__all__ = ["ScalingConfig", "campaign_spec", "run_one"]
 
 #: Node density matching the paper's Figure 3 (500 nodes / 4 km²).
 DENSITY_PER_M2 = 125e-6
@@ -115,34 +114,3 @@ def campaign_spec(config: ScalingConfig | None = None):
     return CampaignSpec(name="scaling", run_one=run_one,
                         protocols=config.protocols, xs=config.node_counts,
                         seeds=config.seeds, config=config)
-
-
-def run_scaling(config: ScalingConfig | None = None,
-                **campaign_kwargs) -> dict[str, SweepSeries]:
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"scaling sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_scaling()
-    series = list(results.values())
-    for metric, label in (
-        ("mac_packets", "Number of MAC Packets"),
-        ("delivery_ratio", "Delivery Ratio"),
-        ("avg_delay_s", "End-to-End Delay (s)"),
-    ):
-        print(f"\n=== Extension: {label} vs Network Size ===")
-        print(format_table(series, metric, x_label="nodes"))
-        print(line_chart({s.label: s.curve(metric) for s in series},
-                         title=label, x_label="network size (nodes)"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

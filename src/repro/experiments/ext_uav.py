@@ -44,7 +44,6 @@ from repro.experiments.common import (
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.sim.rng import RandomStreams
-from repro.stats.series import SweepSeries
 from repro.topology.mobility import (
     GaussMarkov3D,
     GaussMarkovConfig,
@@ -53,7 +52,7 @@ from repro.topology.mobility import (
 )
 from repro.topology.vforce import VirtualForceConfig, VirtualForceControl
 
-__all__ = ["UavConfig", "campaign_spec", "run_uav", "run_one"]
+__all__ = ["UavConfig", "campaign_spec", "run_one"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -163,34 +162,3 @@ def campaign_spec(config: UavConfig | None = None):
     return CampaignSpec(name="uav", run_one=run_one,
                         protocols=config.protocols, xs=config.alphas,
                         seeds=config.seeds, config=config)
-
-
-def run_uav(config: UavConfig | None = None,
-            **campaign_kwargs) -> dict[str, SweepSeries]:
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"uav sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via the CLI
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_uav()
-    series = list(results.values())
-    for metric, label in (
-        ("delivery_ratio", "Delivery Ratio"),
-        ("avg_delay_s", "End-to-End Delay (s)"),
-        ("mac_packets", "Number of MAC Packets"),
-    ):
-        print(f"\n=== UAV 3-D: {label} vs Gauss-Markov alpha ===")
-        print(format_table(series, metric, x_label="alpha"))
-        print(line_chart({s.label: s.curve(metric) for s in series},
-                         title=label, x_label="Gauss-Markov memory alpha"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -29,9 +29,8 @@ from repro.experiments.common import (
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.sim.rng import RandomStreams
-from repro.stats.series import SweepSeries
 
-__all__ = ["Fig1Config", "campaign_spec", "run_fig1", "run_one"]
+__all__ = ["Fig1Config", "campaign_spec", "run_one"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -106,44 +105,3 @@ def campaign_spec(config: Fig1Config | None = None):
     return CampaignSpec(name="fig1", run_one=run_one,
                         protocols=config.protocols, xs=config.intervals_s,
                         seeds=config.seeds, config=config)
-
-
-def run_fig1(config: Fig1Config | None = None,
-             **campaign_kwargs) -> dict[str, SweepSeries]:
-    """The full sweep: ``{protocol: series}`` keyed like the figure legend.
-
-    Keyword arguments (``cache_dir``, ``campaign_dir``, ``resume``,
-    ``workers``, ...) are forwarded to :func:`repro.campaign.run_campaign`.
-    A quarantined cell raises here — library callers expect a complete
-    sweep; use :func:`repro.campaign.run_spec` directly for the tolerant
-    campaign semantics.
-    """
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"fig1 sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_fig1()
-    series = list(results.values())
-    for metric, label in (
-        ("avg_delay_s", "End-to-End Delay (s)"),
-        ("avg_hops", "Average Hops"),
-        ("delivery_ratio", "Delivery Ratio"),
-    ):
-        print(f"\n=== Figure 1: {label} vs Packet Generation Interval ===")
-        print(format_table(series, metric, x_label="interval_s"))
-        print(line_chart(
-            {s.label: s.curve(metric) for s in series},
-            title=label, x_label="packet generation interval (s)",
-        ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

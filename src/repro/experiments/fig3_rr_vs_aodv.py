@@ -29,9 +29,8 @@ from repro.experiments.common import (
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.sim.rng import RandomStreams
-from repro.stats.series import SweepSeries
 
-__all__ = ["Fig3Config", "campaign_spec", "run_fig3", "run_one"]
+__all__ = ["Fig3Config", "campaign_spec", "run_one"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -113,37 +112,3 @@ def campaign_spec(config: Fig3Config | None = None):
     return CampaignSpec(name="fig3", run_one=run_one,
                         protocols=config.protocols, xs=config.pair_counts,
                         seeds=config.seeds, config=config)
-
-
-def run_fig3(config: Fig3Config | None = None,
-             **campaign_kwargs) -> dict[str, SweepSeries]:
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"fig3 sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_fig3()
-    series = list(results.values())
-    for metric, label in (
-        ("avg_delay_s", "End-to-End Delay (s)"),
-        ("delivery_ratio", "Delivery Ratio"),
-        ("mac_packets", "Number of MAC Packets"),
-        ("avg_hops", "Average Hops"),
-    ):
-        print(f"\n=== Figure 3: {label} vs Number of Communicating Pairs ===")
-        print(format_table(series, metric, x_label="pairs"))
-        print(line_chart(
-            {s.label: s.curve(metric) for s in series},
-            title=label, x_label="communicating pairs",
-        ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

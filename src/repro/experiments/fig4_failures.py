@@ -23,9 +23,8 @@ from repro.experiments.fig3_rr_vs_aodv import Fig3Config, run_one
 from repro.experiments.registry import experiment
 from repro.experiments.result import ExperimentResult
 from repro.faults.plan import fig4_plan
-from repro.stats.series import SweepSeries
 
-__all__ = ["Fig4Config", "campaign_spec", "run_cell", "run_fig4"]
+__all__ = ["Fig4Config", "campaign_spec", "run_cell"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -86,37 +85,3 @@ def campaign_spec(config: Fig4Config | None = None):
                         protocols=config.protocols,
                         xs=config.failure_fractions,
                         seeds=config.seeds, config=config)
-
-
-def run_fig4(config: Fig4Config | None = None,
-             **campaign_kwargs) -> dict[str, SweepSeries]:
-    from repro.campaign import run_spec
-    outcome = run_spec(campaign_spec(config), **campaign_kwargs)
-    if outcome.quarantined:
-        raise RuntimeError(f"fig4 sweep quarantined cells: "
-                           f"{outcome.summary['quarantined_cells']}")
-    return outcome.results
-
-
-def main() -> None:  # pragma: no cover - exercised via benchmarks
-    from repro.stats.series import format_table
-    from repro.viz.ascii_chart import line_chart
-
-    results = run_fig4()
-    series = list(results.values())
-    for metric, label in (
-        ("avg_delay_s", "End-to-End Delay (s)"),
-        ("delivery_ratio", "Delivery Ratio"),
-        ("mac_packets", "Number of MAC Packets"),
-        ("avg_hops", "Average Hops"),
-    ):
-        print(f"\n=== Figure 4: {label} vs Node Failure Percentage ===")
-        print(format_table(series, metric, x_label="failure"))
-        print(line_chart(
-            {s.label: s.curve(metric) for s in series},
-            title=label, x_label="node failure fraction",
-        ))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -33,8 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "and attribute wall time to subsystems.",
     )
     parser.add_argument("experiment",
-                        help="experiment name (fig1 fig3 fig4 mobility "
-                             "scaling)")
+                        help="a campaign-capable experiment name (see "
+                             "'python -m repro.experiments list')")
     parser.add_argument("--protocol", default=None,
                         help="protocol to run (default: experiment's first)")
     parser.add_argument("--x", type=float, default=None, metavar="X",
@@ -71,6 +71,7 @@ def _run_profiled(args):
 
     from repro.experiments.cli import _campaign_spec
     from repro.experiments.obs_cli import _pick
+    from repro.experiments.registry import campaign_capable
     from repro.obs.profiler import StackSampler
 
     if args.paper_scale:
@@ -80,7 +81,7 @@ def _run_profiled(args):
     spec = _campaign_spec(args.experiment)
     if spec is None:
         raise SystemExit(f"error: unknown experiment {args.experiment!r} "
-                         "(choose from: fig1 fig3 fig4 mobility scaling)")
+                         f"(choose from: {' '.join(campaign_capable())})")
 
     protocol = _pick(args.protocol, spec.protocols, "--protocol")
     x = _pick(args.x, spec.xs, "--x", convert=float)

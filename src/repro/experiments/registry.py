@@ -35,7 +35,8 @@ __all__ = ["ExperimentDef", "experiment", "register_script", "get", "names",
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentDef:
-    """Everything the CLI needs to know about one registered experiment."""
+    """One registered experiment: what the CLI needs to present it, and
+    :meth:`run` to execute its sweep."""
 
     name: str
     description: str = ""
@@ -58,11 +59,18 @@ class ExperimentDef:
                             "campaign sweep")
         return self.spec(config) if config is not None else self.spec()
 
-    def run(self, **campaign_kwargs) -> dict:
-        """Run the full sweep and return ``{protocol: SweepSeries}``
-        (campaign experiments only); quarantined cells raise."""
+    def run(self, config=None, **campaign_kwargs) -> dict:
+        """Run the full sweep over ``config`` (default: the experiment's
+        active scale) and return ``{protocol: SweepSeries}`` keyed like the
+        figure legend (campaign experiments only).
+
+        Keyword arguments (``cache_dir``, ``campaign_dir``, ``resume``,
+        ``workers``, ...) go to :func:`repro.campaign.run_spec`.  A
+        quarantined cell raises — library callers expect a complete sweep;
+        call ``run_spec`` directly for the tolerant campaign semantics.
+        """
         from repro.campaign import run_spec
-        outcome = run_spec(self.build_spec(), **campaign_kwargs)
+        outcome = run_spec(self.build_spec(config), **campaign_kwargs)
         if outcome.quarantined:
             raise RuntimeError(
                 f"{self.name} sweep quarantined cells: "

@@ -141,3 +141,29 @@ def test_faulted_cells_get_distinct_cache_keys(faults_spec, plan_path,
                      "--faults", plan_path]) == 0
     assert len(fakes.CALLS) == len(baseline)
     assert all(call[3] == "smoke-plan" for call in fakes.CALLS)
+
+
+@pytest.fixture
+def failing_spec(monkeypatch):
+    spec = CampaignSpec(name="fig1", run_one=fakes.failing_run_one,
+                        protocols=("bad", "good"), xs=(1.0, 2.0),
+                        seeds=(1,), config=FakeConfig())
+    monkeypatch.setattr(cli, "_campaign_spec",
+                        lambda name: spec if name == "fig1" else None)
+    return spec
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig1", "--no-cache"],
+    ["campaign", "fig1", "--no-cache"],
+], ids=["fig", "campaign"])
+def test_quarantine_exits_one_with_a_report(failing_spec, argv, tmp_path,
+                                            monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the campaign form journals under ./campaigns
+    assert cli.main(argv + ["--retries", "0", "--quiet"]) == 1
+    captured = capsys.readouterr()
+    assert "campaign summary" in captured.out
+    assert "cells: 4/4 (executed 3," in captured.out
+    assert "QUARANTINED bad/x=1/seed=1" in captured.err
+    # The cells that settled still render.
+    assert "=== fig1: avg_delay_s ===" in captured.out

@@ -3,8 +3,11 @@
 import pytest
 
 import repro.experiments.cli as cli
+from repro.campaign import CampaignSpec
 from repro.experiments import registry
 from repro.experiments.registry import ExperimentDef, experiment, register_script
+from tests.campaign import fakes
+from tests.campaign.fakes import FakeConfig
 
 
 @pytest.fixture
@@ -86,6 +89,46 @@ class TestPlugIn:
             registry._register(
                 ExperimentDef(name=scratch_name, spec=lambda: None,
                               description="different"))
+
+
+class TestRun:
+    """``ExperimentDef.run`` is the library's way to run a registered sweep."""
+
+    @pytest.fixture(autouse=True)
+    def _reset_call_log(self):
+        fakes.CALLS.clear()
+
+    @staticmethod
+    def _register(name, run_one):
+        @experiment(name=name, panels=("delivery_ratio",), x_label="k")
+        def campaign_spec(config=None):
+            config = config if config is not None else FakeConfig()
+            return CampaignSpec(name=name, run_one=run_one,
+                                protocols=("ok", "bad"), xs=(1.0, 2.0),
+                                seeds=(1,), config=config)
+        return registry.get(name)
+
+    def test_runs_the_grid_with_the_config_given(self, scratch_name):
+        definition = self._register(scratch_name, fakes.counting_run_one)
+        results = definition.run(FakeConfig(scale=3.0))
+        assert sorted(fakes.CALLS) == [("bad", 1.0, 1), ("bad", 2.0, 1),
+                                       ("ok", 1.0, 1), ("ok", 2.0, 1)]
+        assert set(results) == {"ok", "bad"}
+        expected = fakes.make_summary("ok", 2.0, 1, FakeConfig(scale=3.0))
+        assert results["ok"].metric(2.0, "avg_delay_s").mean == \
+            pytest.approx(expected.avg_delay_s)
+
+    def test_default_config_is_the_spec_default(self, scratch_name):
+        definition = self._register(scratch_name, fakes.counting_run_one)
+        results = definition.run()
+        expected = fakes.make_summary("ok", 2.0, 1, FakeConfig())
+        assert results["ok"].metric(2.0, "avg_delay_s").mean == \
+            pytest.approx(expected.avg_delay_s)
+
+    def test_quarantined_cell_raises(self, scratch_name):
+        definition = self._register(scratch_name, fakes.failing_run_one)
+        with pytest.raises(RuntimeError, match="quarantined"):
+            definition.run(FakeConfig(), max_retries=0)
 
 
 class TestCliShim:
