@@ -41,8 +41,9 @@ campaigns can sweep them (see ``docs/SCENARIOS.md``)::
 experiment names to their sweep definitions, and ``ExperimentDef.run`` is
 the way to run one: it returns ``{protocol: SweepSeries}`` and raises if
 any cell is quarantined.  Its keyword arguments (``cache_dir``,
-``campaign_dir``, ``resume``, ``workers``, ...) go to :func:`run_spec`,
-which executes a :class:`CampaignSpec` with caching, journaling and
+``campaign_dir``, ``workers``, ...) go to :func:`run_spec`, which executes
+a :class:`CampaignSpec` with caching (a killed sweep re-run on the same
+``cache_dir`` executes only the cells that had not settled) and
 multiprocess fan-out; call :func:`run_spec` (or :func:`run_campaign`)
 directly for the tolerant semantics that report quarantined cells and
 carry on.  Every cell comes back as an :class:`ExperimentResult` (metrics

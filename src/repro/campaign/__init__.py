@@ -1,4 +1,4 @@
-"""Durable, resumable experiment campaigns.
+"""Cached, fault-tolerant experiment campaigns.
 
 Every figure in the paper is a (protocol × x × seed) grid of independent
 single-threaded runs.  This package turns one-shot sweeps into
@@ -6,19 +6,17 @@ single-threaded runs.  This package turns one-shot sweeps into
 
 * :mod:`repro.campaign.fingerprint` — stable content addressing: every cell
   is keyed by a hash of (runner name, protocol, x, seed, config fields,
-  package version), so identical work is recognized across invocations and
-  any config change invalidates exactly the cells it affects;
+  model source), so identical work is recognized across invocations and
+  any config or model change invalidates exactly the cells it affects;
 * :mod:`repro.campaign.cache` — an on-disk result store addressed by those
-  keys; re-running an identical sweep is a near-instant cache hit;
+  keys and the only store a campaign reads back: re-running an identical
+  sweep is a near-instant cache hit, and a killed campaign re-run on the
+  same cache executes only the cells that had not settled;
 * :mod:`repro.campaign.executor` — a fault-tolerant layer over the process
   pool: per-cell timeouts, bounded retry with backoff,
   ``BrokenProcessPool`` recovery, and quarantine of persistently failing
   cells (reported, never fatal to their neighbours).  It is the one retry
   loop: campaigns and the serving daemon both run cells through it;
-* :mod:`repro.campaign.journal` — a JSONL journal plus manifest per
-  campaign directory, so a killed run resumed with ``resume=True``
-  re-executes only the missing cells and reassembles bit-identical
-  ``{protocol: SweepSeries}`` results;
 * :mod:`repro.campaign.telemetry` — per-cell wall time, cells/sec, ETA,
   cache-hit ratio and retry counts, surfaced through a progress callback
   and a machine-readable summary.
@@ -37,8 +35,7 @@ Usage::
         seeds=config.seeds,
         config=config,
         cache_dir="~/.cache/repro",
-        campaign_dir="campaigns/fig1",
-        resume=True,
+        campaign_dir="campaigns/fig1",   # receives summary.json
         workers=4,
     )
     results = outcome.results          # {protocol: SweepSeries}
@@ -47,11 +44,11 @@ Usage::
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import CellFailure, ExecutorConfig, FaultTolerantExecutor
-from repro.campaign.fingerprint import campaign_fingerprint, canonicalize, cell_key
-from repro.campaign.journal import CampaignJournal, CellRecord
+from repro.campaign.fingerprint import canonicalize, cell_key
 from repro.campaign.runner import (
     CampaignOutcome,
     CampaignSpec,
+    CellRecord,
     ObservedResult,
     run_campaign,
     run_spec,
@@ -59,7 +56,6 @@ from repro.campaign.runner import (
 from repro.campaign.telemetry import CampaignTelemetry, ProgressEvent
 
 __all__ = [
-    "CampaignJournal",
     "CampaignOutcome",
     "CampaignSpec",
     "CampaignTelemetry",
@@ -70,7 +66,6 @@ __all__ = [
     "ObservedResult",
     "ProgressEvent",
     "ResultCache",
-    "campaign_fingerprint",
     "canonicalize",
     "cell_key",
     "run_campaign",

@@ -7,9 +7,11 @@ stores the :class:`~repro.stats.metrics.MetricsSummary` fields verbatim
 (floats survive JSON exactly via shortest-round-trip repr) plus enough
 metadata to audit where it came from.
 
-Writes are atomic (temp file + ``os.replace``) so a killed run never leaves
-a torn entry, and concurrent writers of the same key are idempotent — they
-write identical bytes.
+Writes are atomic and durable (temp file, fsync, ``os.replace``) so a
+killed run never leaves a torn entry, and concurrent writers of the same
+key are idempotent — they write identical bytes.  The cache is the only
+store a campaign reads back: a killed campaign re-run on the same cache
+executes only the cells that had not settled.
 """
 
 from __future__ import annotations
@@ -17,11 +19,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import Optional
 
+from repro.stats.export import write_atomic
 from repro.stats.metrics import MetricsSummary
 
 __all__ = ["ResultCache", "summary_to_dict", "summary_from_dict"]
@@ -111,19 +113,9 @@ class ResultCache:
         }
         if meta:
             payload["meta"] = meta
-        blob = json.dumps(payload, sort_keys=True, indent=1)
-        # Atomic publish: a reader sees either nothing or the full entry.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(blob + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        # A reader sees either nothing or the full entry, also after a crash.
+        write_atomic(path, json.dumps(payload, sort_keys=True, indent=1)
+                     + "\n")
 
     def put_cell(self, cell, summary: MetricsSummary, *, runner: str,
                  source: str) -> None:

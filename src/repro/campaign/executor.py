@@ -5,22 +5,25 @@ adds what the bare pool lacks for long campaigns:
 
 * **per-cell timeout** — a cell that exceeds its deadline is failed, its
   (possibly hung) worker pool is torn down and rebuilt, and innocent
-  bystander cells that died with the pool are resubmitted without an
-  attempt penalty;
+  bystander cells that died with the pool are resubmitted free of charge;
 * **bounded retry with backoff** — a cell that raises or times out is
   retried up to ``max_retries`` times, each retry delayed by an exponential
   backoff so a transiently sick machine gets room to recover;
 * **``BrokenProcessPool`` recovery** — a worker process dying (OOM kill,
-  segfault, ``os._exit``) breaks the whole pool; the executor rebuilds it,
-  charges a failed attempt only to cells whose future actually raised, and
-  re-queues the rest for free;
+  segfault, ``os._exit``) breaks the whole pool, and every in-flight
+  future raises, so the pool cannot say whose worker died.  The executor
+  keeps the results that finished first and rebuilds the pool.  If one
+  cell was lost, it is the culprit and is charged a failed attempt; if
+  several were, none is charged: each becomes a *suspect* and reruns
+  alone, so a cell is charged only when it breaks the pool as the only
+  cell in flight;
 * **quarantine** — a cell that exhausts its retries is reported through a
   callback and *excluded* from the results instead of failing the campaign.
 
 Cells run serially in-process when ``max_workers <= 1`` (same retry and
 quarantine semantics; timeouts need worker processes and are not enforced
-inline).  ``KeyboardInterrupt`` always propagates — an interrupted campaign
-is the journal's job to resume, not the executor's to swallow.
+inline).  ``KeyboardInterrupt`` always propagates: an interrupted campaign
+resumes from the result cache on its next run.
 """
 
 from __future__ import annotations
@@ -58,9 +61,9 @@ class ObservedRunner:
     """Picklable wrapper giving each executed cell a fresh
     :class:`~repro.obs.observe.Observability` bundle.
 
-    Only *executed* cells carry observability — cache and journal hits
-    settle from the stored plain summary, so campaign-level obs covers the
-    cells that actually ran this invocation.
+    Only *executed* cells carry observability — cache hits settle from the
+    stored plain summary, so campaign-level obs covers the cells that
+    actually ran this invocation.
     """
 
     def __init__(self, run_one: Callable):
@@ -108,8 +111,13 @@ class ExecutorConfig:
 @dataclass
 class _Task:
     cell: Cell
+    #: Times the cell was started, free reruns included.
     attempts: int = 0
+    #: Failed attempts charged against ``max_retries``.
+    failures: int = 0
     ready_at: float = 0.0
+    #: Lost with others to a broken pool: runs alone until it settles.
+    suspect: bool = False
 
 
 def _invoke(payload):
@@ -170,7 +178,7 @@ class FaultTolerantExecutor:
                 except Exception as exc:  # noqa: BLE001 - quarantine, don't die
                     if not self._note_failure(task, repr(exc), on_quarantine):
                         break
-                    time.sleep(self.exec_config.backoff_for(task.attempts))
+                    time.sleep(self.exec_config.backoff_for(task.failures))
                 else:
                     on_success(task.cell, summary, task.attempts,
                                time.monotonic() - start)
@@ -196,8 +204,9 @@ class FaultTolerantExecutor:
         self.pool_rebuilds += 1
 
     def _note_failure(self, task: _Task, error: str, on_quarantine) -> bool:
-        """Record a failed attempt.  True if the task will be retried."""
-        if task.attempts > self.exec_config.max_retries:
+        """Charge a failed attempt.  True if the task will be retried."""
+        task.failures += 1
+        if task.failures > self.exec_config.max_retries:
             on_quarantine(CellFailure(task.cell, task.attempts, error))
             return False
         self.retries += 1
@@ -214,17 +223,52 @@ class FaultTolerantExecutor:
 
         def requeue(task: _Task, error: str) -> None:
             if self._note_failure(task, error, on_quarantine):
-                task.ready_at = time.monotonic() + cfg.backoff_for(task.attempts)
+                task.ready_at = time.monotonic() + cfg.backoff_for(task.failures)
                 waiting.append(task)
 
-        def rebuild(reason_tasks_free: list[_Task]) -> None:
+        def rebuild(free: list[_Task]) -> None:
             nonlocal pool
             self._kill_pool(pool)
             pool = self._new_pool()
-            # Bystanders lost to the teardown retry without an attempt charge.
-            for task in reason_tasks_free:
-                task.attempts -= 1
-                pending.appendleft(task)
+            pending.extendleft(reversed(free))
+
+        def next_task() -> Optional[_Task]:
+            # A suspect runs with nothing else in flight.
+            if any(task.suspect for task, _dl in inflight.values()):
+                return None
+            suspect = next((task for task in pending if task.suspect), None)
+            if suspect is not None:
+                if inflight:
+                    return None
+                pending.remove(suspect)
+                return suspect
+            if pending and len(inflight) < cfg.max_workers:
+                return pending.popleft()
+            return None
+
+        def harvest(future, task: _Task, lost: list[_Task]) -> None:
+            try:
+                summary, wall_s = future.result()
+            except BrokenProcessPool:
+                lost.append(task)
+            except Exception as exc:  # noqa: BLE001
+                requeue(task, repr(exc))
+            else:
+                on_success(task.cell, summary, task.attempts, wall_s)
+
+        def settle_broken_pool(lost: list[_Task]) -> None:
+            # Keep what finished before the worker died; the rest is lost.
+            for future, (task, _deadline) in inflight.items():
+                if future.done():
+                    harvest(future, task, lost)
+                else:
+                    lost.append(task)
+            inflight.clear()
+            for task in lost:
+                task.suspect = True
+            if len(lost) == 1:  # alone in flight: the culprit
+                requeue(lost.pop(), "worker died: the process pool broke")
+            rebuild(lost)
 
         try:
             while pending or waiting or inflight:
@@ -235,17 +279,14 @@ class FaultTolerantExecutor:
                      else still_waiting.append)(task)
                 waiting[:] = still_waiting
 
-                while pending and len(inflight) < cfg.max_workers:
-                    task = pending.popleft()
+                while (task := next_task()) is not None:
                     try:
                         future = pool.submit(_invoke, self._payload(task))
                     except BrokenProcessPool:
-                        # The pool died between loop iterations; rebuild and
-                        # let the normal drain path settle the in-flight cells.
+                        # The pool died between loop iterations; rebuild it
+                        # and settle what was in flight.
                         pending.appendleft(task)
-                        bystanders = [t for t, _dl in inflight.values()]
-                        inflight.clear()
-                        rebuild(bystanders)
+                        settle_broken_pool([])
                         break
                     task.attempts += 1
                     deadline = (now + cfg.timeout_s
@@ -263,43 +304,20 @@ class FaultTolerantExecutor:
 
                 done, _ = wait(set(inflight), timeout=cfg.poll_s,
                                return_when=FIRST_COMPLETED)
-                pool_broke = False
+                lost: list[_Task] = []
                 for future in done:
                     task, _deadline = inflight.pop(future)
-                    try:
-                        summary, wall_s = future.result()
-                    except BrokenProcessPool as exc:
-                        pool_broke = True
-                        requeue(task, f"worker died: {exc!r}")
-                    except Exception as exc:  # noqa: BLE001
-                        requeue(task, repr(exc))
-                    else:
-                        on_success(task.cell, summary, task.attempts, wall_s)
+                    harvest(future, task, lost)
 
                 now = time.monotonic()
                 overdue = [f for f, (_t, dl) in inflight.items() if now >= dl]
-                if overdue:
+                if lost:
+                    settle_broken_pool(lost)
+                elif overdue:
                     for future in overdue:
                         task, _deadline = inflight.pop(future)
                         requeue(task, f"timeout after {cfg.timeout_s}s")
                     bystanders = [task for task, _dl in inflight.values()]
-                    inflight.clear()
-                    rebuild(bystanders)
-                elif pool_broke:
-                    # Sibling futures died with the pool through no fault of
-                    # their own — but a few may have finished first; keep those.
-                    bystanders = []
-                    for future, (task, _deadline) in list(inflight.items()):
-                        if future.done():
-                            try:
-                                summary, wall_s = future.result()
-                            except Exception:  # noqa: BLE001
-                                bystanders.append(task)
-                            else:
-                                on_success(task.cell, summary, task.attempts,
-                                           wall_s)
-                        else:
-                            bystanders.append(task)
                     inflight.clear()
                     rebuild(bystanders)
         finally:

@@ -2,11 +2,12 @@
 
 A cell's identity is everything that determines its result: which runner,
 which (protocol, x, seed) coordinates, every field of the experiment config
-(nested dataclasses included), any extra keyword arguments, and the package
-version.  Two invocations that agree on all of those produce the same
-:class:`~repro.stats.metrics.MetricsSummary`, so their results can be shared
-through the cache; change any one of them and the key — hence the cache
-entry — changes with it.
+(nested dataclasses included), any extra keyword arguments, and the model:
+a digest of the source of every module that can change a result (see
+:func:`model_fingerprint`).  Two invocations that agree on all of those
+produce the same :class:`~repro.stats.metrics.MetricsSummary`, so their
+results can be shared through the cache; change any one of them and the
+key — hence the cache entry — changes with it.
 
 Canonicalization is deliberately conservative: dataclasses are tagged with
 their class name so two config types with identical fields don't collide,
@@ -18,13 +19,19 @@ silently aliasing distinct configs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
-from typing import Any, Callable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-__all__ = ["canonicalize", "cell_key", "campaign_fingerprint", "runner_name_of"]
+__all__ = ["canonicalize", "cell_key", "model_fingerprint", "runner_name_of"]
+
+#: Sub-packages of ``repro`` that cannot change a cell's result — reporting,
+#: serving, orchestration and plotting — so editing them keeps the cache warm.
+_NOT_MODEL = frozenset({"obs", "serve", "campaign", "viz"})
 
 
 def canonicalize(obj: Any) -> Any:
@@ -70,9 +77,26 @@ def _digest(payload: Any) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _package_version() -> str:
-    from repro import __version__
-    return __version__
+@functools.lru_cache(maxsize=None)
+def model_fingerprint() -> str:
+    """sha256 over the source of the ``repro`` package minus
+    :data:`_NOT_MODEL`, computed once per process.
+
+    Any edit to the simulator, protocols, experiments or statistics —
+    comment-only edits included — gives every cell a new key, so a stale
+    cached result can never be served for changed code.
+    """
+    import repro
+    root = Path(repro.__file__).parent
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root)
+        if rel.parts[0] in _NOT_MODEL:
+            continue
+        source = path.read_bytes()
+        digest.update(f"{rel.as_posix()}\0{len(source)}\0".encode())
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def runner_name_of(run_one: Callable) -> str:
@@ -96,28 +120,7 @@ def cell_key(
         "seed": int(seed),
         "config": canonicalize(config),
         "extra": canonicalize(dict(extra_kwargs or {})),
-        "version": _package_version(),
+        "model": model_fingerprint(),
     }
     return _digest(payload)
 
-
-def campaign_fingerprint(
-    runner_name: str,
-    protocols: Sequence[str],
-    xs: Sequence[float],
-    seeds: Sequence[int],
-    config: Any,
-    extra_kwargs: Mapping | None = None,
-) -> str:
-    """Identity of a whole campaign grid — guards against resuming a journal
-    produced by a different sweep definition."""
-    payload = {
-        "runner": runner_name,
-        "protocols": list(protocols),
-        "xs": canonicalize(list(xs)),
-        "seeds": [int(s) for s in seeds],
-        "config": canonicalize(config),
-        "extra": canonicalize(dict(extra_kwargs or {})),
-        "version": _package_version(),
-    }
-    return _digest(payload)

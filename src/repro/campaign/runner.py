@@ -1,31 +1,30 @@
-"""Campaign orchestration: cache + journal + fault-tolerant execution.
+"""Campaign orchestration: result cache + fault-tolerant execution.
 
 :func:`run_campaign` is the one entry point.  Given the same
 ``run_one(protocol, x, seed, config, **extra)`` callable the serial runners
-use, it settles every cell of the (protocol × x × seed) grid through a
-three-level lookup:
+use, it settles every cell of the (protocol × x × seed) grid in two steps:
 
-1. **journal** — on ``resume=True``, cells already settled in the campaign
-   directory's journal are replayed without touching the cache or pool;
-2. **cache** — cells whose content address is present in the result cache
-   are hits, recorded to the journal, never executed;
-3. **execution** — everything else runs in the local process pool under
+1. **cache** — cells whose content address is present in the result cache
+   are hits, never executed;
+2. **execution** — everything else runs in the local process pool under
    the fault-tolerant executor (timeouts, retries, pool recovery,
-   quarantine), and each result is published to the cache.
+   quarantine), and each result is published to the cache as it settles.
 
-Results are reassembled in canonical grid order — the exact nested-loop
-order the serial runners use — so the returned ``{protocol: SweepSeries}``
-is bit-identical to an uninterrupted, uncached serial sweep regardless of
-completion order, cache state, or how many times the campaign was killed
-and resumed along the way.
+The cache is the only store a campaign reads back, so a killed campaign
+re-run on the same ``cache_dir`` executes only the cells that had not
+settled (without a cache it starts over).  Results are reassembled in
+canonical grid order — the exact nested-loop order the serial runners
+use — so the returned ``{protocol: SweepSeries}`` is bit-identical to an
+uninterrupted, uncached serial sweep regardless of completion order, cache
+state, or how many times the campaign was killed and re-run along the way.
 """
 
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from pathlib import Path
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.executor import (
@@ -37,17 +36,17 @@ from repro.campaign.executor import (
     ObservedRunner,
     split_observed,
 )
-from repro.campaign.fingerprint import (
-    campaign_fingerprint,
-    cell_key,
-    runner_name_of,
-)
-from repro.campaign.journal import CampaignJournal, CellRecord
+from repro.campaign.fingerprint import cell_key, runner_name_of
 from repro.campaign.telemetry import CampaignTelemetry, ProgressEvent
+from repro.stats.export import write_campaign_summary
+from repro.stats.metrics import MetricsSummary
 from repro.stats.series import SweepSeries
 
-__all__ = ["CampaignSpec", "CampaignOutcome", "ObservedResult",
+__all__ = ["CampaignSpec", "CampaignOutcome", "CellRecord", "ObservedResult",
            "run_campaign", "run_spec"]
+
+#: The file under ``campaign_dir`` holding the latest campaign telemetry.
+SUMMARY_FILE = "summary.json"
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,22 @@ class CampaignSpec:
     seeds: tuple
     config: Any
     extra_kwargs: Mapping = field(default_factory=dict)
+
+
+@dataclass
+class CellRecord:
+    """One settled cell: its identity, outcome, and how it got there."""
+
+    key: str
+    protocol: str
+    x: float
+    seed: int
+    status: str                      # "done" | "quarantined"
+    source: str = "run"              # "run" | "cache"
+    summary: Optional[MetricsSummary] = None
+    attempts: int = 1
+    wall_s: float = 0.0
+    error: str = ""
 
 
 @dataclass
@@ -92,7 +107,6 @@ def run_campaign(
     extra_kwargs: Mapping | None = None,
     cache_dir: str | os.PathLike | None = None,
     campaign_dir: str | os.PathLike | None = None,
-    resume: bool = False,
     workers: int = 1,
     timeout_s: float | None = None,
     max_retries: int = 2,
@@ -102,9 +116,9 @@ def run_campaign(
 ) -> CampaignOutcome:
     """Settle the full grid and return results, telemetry, and quarantine.
 
-    With no ``cache_dir``/``campaign_dir`` this degrades to a plain
-    (serial or pooled) sweep with retry protection — the migration path for
-    the figure runners costs nothing when durability isn't requested.
+    With no ``cache_dir`` this is a plain (serial or pooled) sweep with
+    retry protection.  ``campaign_dir``, when given, receives the final
+    telemetry as ``summary.json``.
 
     Cells that need execution run under
     :class:`~repro.campaign.executor.FaultTolerantExecutor` (serial when
@@ -135,30 +149,6 @@ def run_campaign(
         if progress is not None:
             progress(telemetry.event(source, label, wall_s))
 
-    journal: CampaignJournal | None = None
-    settled: dict[str, CellRecord] = {}
-    if campaign_dir is not None:
-        journal = CampaignJournal(campaign_dir)
-        manifest = {
-            "fingerprint": campaign_fingerprint(name, protocols, xs, seeds,
-                                                config, extra),
-            "runner": name,
-            "protocols": list(protocols),
-            "xs": [float(x) for x in xs],
-            "seeds": [int(s) for s in seeds],
-            "total_cells": len(grid),
-            "created_at": time.time(),
-        }
-        if resume:
-            journal.ensure_manifest(manifest, resume=True)
-            # Quarantined cells get a fresh chance on resume; only cleanly
-            # settled cells are replayed.
-            settled = {k: r for k, r in journal.load().items()
-                       if r.status == "done"}
-        else:
-            journal.reset()
-            journal.write_manifest(manifest)
-
     cache = ResultCache(cache_dir) if cache_dir is not None else None
 
     records: dict[str, CellRecord] = {}
@@ -168,19 +158,11 @@ def run_campaign(
     for protocol, x, seed, key in grid:
         if key in records:  # duplicate grid coordinates share one settlement
             continue
-        if key in settled:
-            records[key] = settled[key]
-            telemetry.record("journal")
-            emit("journal", protocol, x, seed)
-            continue
         summary = cache.get(key) if cache is not None else None
         if summary is not None:
-            record = CellRecord(key=key, protocol=protocol, x=float(x),
-                                seed=int(seed), status="done", source="cache",
-                                summary=summary)
-            records[key] = record
-            if journal is not None:
-                journal.append(record)
+            records[key] = CellRecord(key=key, protocol=protocol, x=float(x),
+                                      seed=int(seed), status="done",
+                                      source="cache", summary=summary)
             telemetry.record("cache")
             emit("cache", protocol, x, seed)
             continue
@@ -193,27 +175,20 @@ def run_campaign(
                 cache.put_cell(cell, summary, runner=name, source="local-pool")
             if obs_snapshot is not None:
                 telemetry.record_obs(obs_snapshot)
-            record = CellRecord(key=cell.key, protocol=cell.protocol,
-                                x=float(cell.x), seed=int(cell.seed),
-                                status="done", source="run", summary=summary,
-                                attempts=attempts, wall_s=wall_s)
-            records[cell.key] = record
-            if journal is not None:
-                journal.append(record)
+            records[cell.key] = CellRecord(
+                key=cell.key, protocol=cell.protocol, x=float(cell.x),
+                seed=int(cell.seed), status="done", source="run",
+                summary=summary, attempts=attempts, wall_s=wall_s)
             telemetry.record("run", wall_s)
             emit("run", cell.protocol, cell.x, cell.seed, wall_s)
 
         def on_quarantine(failure: CellFailure):
             cell = failure.cell
-            record = CellRecord(key=cell.key, protocol=cell.protocol,
-                                x=float(cell.x), seed=int(cell.seed),
-                                status="quarantined", source="run",
-                                attempts=failure.attempts,
-                                error=failure.error)
-            records[cell.key] = record
+            records[cell.key] = CellRecord(
+                key=cell.key, protocol=cell.protocol, x=float(cell.x),
+                seed=int(cell.seed), status="quarantined", source="run",
+                attempts=failure.attempts, error=failure.error)
             quarantined.append(failure)
-            if journal is not None:
-                journal.append(record)
             telemetry.record("quarantined")
             emit("quarantined", cell.protocol, cell.x, cell.seed)
 
@@ -248,11 +223,11 @@ def run_campaign(
          "seed": int(f.cell.seed), "attempts": f.attempts, "error": f.error}
         for f in quarantined
     ]
-    if journal is not None:
-        # Durable campaigns keep their latest telemetry next to the journal
-        # so `repro obs summary --campaign-dir DIR` (and any later tooling)
-        # can read throughput and obs counters without a rerun.
-        journal.write_summary(summary)
+    if campaign_dir is not None:
+        # `repro obs summary --campaign-dir DIR` (and any later tooling)
+        # reads throughput and obs counters from here without a rerun.
+        write_campaign_summary(
+            summary, Path(campaign_dir).expanduser() / SUMMARY_FILE)
     return CampaignOutcome(results=results, summary=summary,
                            quarantined=quarantined, records=records)
 

@@ -1,10 +1,9 @@
 """Run telemetry for campaigns.
 
 Tracks, as cells settle: how many came from the cache versus fresh
-execution versus a resumed journal, per-cell wall times, retry and
-quarantine counts, throughput (cells/sec over *executed* cells) and a
-naive-but-useful ETA (remaining cells at the observed rate, with cache
-hits counted as free).
+execution, per-cell wall times, retry and quarantine counts, throughput
+(cells/sec over *executed* cells) and a naive-but-useful ETA (remaining
+cells at the observed rate, with cache hits counted as free).
 
 Two consumers:
 
@@ -31,14 +30,13 @@ class ProgressEvent:
     total: int
     executed: int
     cache_hits: int
-    resumed: int
     retries: int
     quarantined: int
     elapsed_s: float
     cells_per_sec: float
     eta_s: Optional[float]
     cache_hit_ratio: float
-    #: What just settled: "run" | "cache" | "journal" | "quarantined".
+    #: What just settled: "run" | "cache" | "quarantined".
     last_source: str = "run"
     last_cell: str = ""
     last_wall_s: float = 0.0
@@ -62,7 +60,6 @@ class CampaignTelemetry:
         self.started_at = time.monotonic()
         self.executed = 0
         self.cache_hits = 0
-        self.resumed = 0
         self.retries = 0
         self.quarantined = 0
         self.wall_times: list[float] = []
@@ -79,8 +76,6 @@ class CampaignTelemetry:
             self.wall_times.append(wall_s)
         elif source == "cache":
             self.cache_hits += 1
-        elif source == "journal":
-            self.resumed += 1
         elif source == "quarantined":
             self.quarantined += 1
         else:  # pragma: no cover - defensive
@@ -108,7 +103,7 @@ class CampaignTelemetry:
 
     @property
     def completed(self) -> int:
-        return self.executed + self.cache_hits + self.resumed + self.quarantined
+        return self.executed + self.cache_hits + self.quarantined
 
     @property
     def elapsed_s(self) -> float:
@@ -142,7 +137,6 @@ class CampaignTelemetry:
             total=self.total,
             executed=self.executed,
             cache_hits=self.cache_hits,
-            resumed=self.resumed,
             retries=self.retries,
             quarantined=self.quarantined,
             elapsed_s=self.elapsed_s,
@@ -174,7 +168,6 @@ class CampaignTelemetry:
             "completed": self.completed,
             "executed": self.executed,
             "cache_hits": self.cache_hits,
-            "resumed_from_journal": self.resumed,
             "retries": self.retries,
             "quarantined": self.quarantined,
             "elapsed_s": self.elapsed_s,

@@ -1,19 +1,1 @@
 """The paper's evaluation, one module per figure."""
-
-from repro.experiments.common import (
-    Network,
-    ScenarioConfig,
-    attach_cbr,
-    build_network,
-    paper_scale,
-    pick_flows,
-)
-
-__all__ = [
-    "Network",
-    "ScenarioConfig",
-    "attach_cbr",
-    "build_network",
-    "paper_scale",
-    "pick_flows",
-]

@@ -5,7 +5,7 @@
     python -m repro.experiments fig1 [--paper-scale] [--csv out.csv] [--json out.json]
     python -m repro.experiments fig2
     python -m repro.experiments fig3 --workers 4 --cache-dir ~/.cache/repro
-    python -m repro.experiments fig4 --campaign-dir campaigns/fig4 --resume
+    python -m repro.experiments fig4 --cache-dir campaigns/cache
     python -m repro.experiments mobility
     python -m repro.experiments scaling
     python -m repro.experiments chaos
@@ -39,12 +39,13 @@ panels and optionally exports the raw series.
 There is one sweep path: ``fig1`` and ``campaign fig1`` both go through the
 campaign runner with the same flags.  They differ only in defaults.  The
 ``campaign`` form is a *durable campaign*: a content-addressed result cache
-(``--cache-dir``, default ``campaigns/cache``) and a per-campaign journal +
-manifest (``--campaign-dir``, default ``campaigns/<name>``) that makes a
-killed run resumable with ``--resume``, and its campaign summary always
-prints.  The fig form uses a cache or journal only when one is named, and
-prints the summary only when a cell was quarantined or ``--summary-json``
-is given.  Both take per-cell ``--timeout`` and ``--retries`` fault
+(``--cache-dir``, default ``campaigns/cache``) that a killed run re-run with
+the same command resumes from, a ``summary.json`` telemetry snapshot under
+``--campaign-dir`` (default ``campaigns/<name>``), and a campaign summary
+that always prints.  The fig form uses a cache or campaign directory only
+when one is named, and prints the summary only when a cell was quarantined
+or ``--summary-json`` is given.  With ``--no-cache`` a killed run starts
+over.  Both take per-cell ``--timeout`` and ``--retries`` fault
 tolerance and print live progress on stderr (``--quiet`` silences it).  A
 sweep with a quarantined cell prints its ``QUARANTINED`` lines and exits 1.
 
@@ -108,11 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache")
     parser.add_argument("--campaign-dir", metavar="DIR", default=None,
-                        help="journal/manifest directory "
+                        help="directory for the campaign's summary.json "
                              "(campaign default: campaigns/<name>)")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume a killed campaign: re-execute only cells "
-                             "missing from the journal")
     parser.add_argument("--timeout", type=float, default=None, metavar="SEC",
                         help="per-cell wall-clock timeout (needs --workers > 1)")
     parser.add_argument("--retries", type=int, default=2, metavar="N",
@@ -204,14 +202,13 @@ def _run_sweep(name: str, args, durable: bool) -> int:
     """Run a registered sweep through the campaign runner, print its panels
     and export its series.
 
-    ``durable`` is the ``campaign <name>`` form: its journal defaults to
-    ``campaigns/<name>`` and its cache to ``campaigns/cache``, and its
-    campaign summary always prints.  The fig form keeps both off unless
-    asked and prints the summary only when a cell was quarantined or
+    ``durable`` is the ``campaign <name>`` form: its campaign directory
+    defaults to ``campaigns/<name>`` and its cache to ``campaigns/cache``,
+    and its campaign summary always prints.  The fig form keeps both off
+    unless asked and prints the summary only when a cell was quarantined or
     ``--summary-json`` is given.  Exits 1 when any cell was quarantined.
     """
     from repro.campaign import run_spec
-    from repro.campaign.journal import ManifestMismatch
     from repro.experiments import registry
 
     spec = _campaign_spec(name)
@@ -233,21 +230,16 @@ def _run_sweep(name: str, args, durable: bool) -> int:
         def progress(event):
             print(str(event), file=sys.stderr)
 
-    try:
-        outcome = run_spec(
-            spec,
-            cache_dir=None if args.no_cache else cache_dir,
-            campaign_dir=campaign_dir,
-            resume=args.resume,
-            workers=args.workers,
-            timeout_s=args.timeout,
-            max_retries=args.retries,
-            observe=args.observe,
-            progress=progress,
-        )
-    except ManifestMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = run_spec(
+        spec,
+        cache_dir=None if args.no_cache else cache_dir,
+        campaign_dir=campaign_dir,
+        workers=args.workers,
+        timeout_s=args.timeout,
+        max_retries=args.retries,
+        observe=args.observe,
+        progress=progress,
+    )
     _print_panels(name, outcome.results)
     if durable or outcome.quarantined or args.summary_json:
         _report_campaign(outcome, args)
@@ -260,7 +252,7 @@ def _report_campaign(outcome, args) -> None:
     print(f"\n--- campaign summary ---")
     print(f"cells: {summary['completed']}/{summary['total_cells']} "
           f"(executed {summary['executed']}, cache hits "
-          f"{summary['cache_hits']}, resumed {summary['resumed_from_journal']})")
+          f"{summary['cache_hits']})")
     print(f"cache hit ratio: {summary['cache_hit_ratio']:.0%}  "
           f"throughput: {summary['cells_per_sec']:.2f} cells/s  "
           f"elapsed: {summary['elapsed_s']:.1f}s  "

@@ -21,8 +21,8 @@ A ``virtual_force=True`` config runs the station-keeping variant instead:
 no free flight, the :class:`~repro.topology.VirtualForceControl` relaxation
 spreads the fleet toward its target spacing while traffic flows.
 
-Campaign-ready: results flow through the cache, journal and observability
-stack like every other experiment; ``repro campaign uav --quick`` runs a
+Campaign-ready: results flow through the cache and observability stack
+like every other experiment; ``repro campaign uav --quick`` runs a
 smoke-sized sweep, ``--mobility NAME`` swaps the mobility model.
 """
 

@@ -121,12 +121,17 @@ def run_observed_cell(args):
 
 def _campaign_summary(args) -> int:
     """``obs summary --campaign-dir``: print the persisted campaign summary."""
-    from repro.campaign.journal import CampaignJournal
-    from repro.obs.summary import format_campaign_summary
+    import json
+    from pathlib import Path
 
-    journal = CampaignJournal(args.campaign_dir)
-    summary = journal.read_summary()
-    if summary is None:
+    from repro.campaign.runner import SUMMARY_FILE
+    from repro.obs.summary import format_campaign_summary
+    from repro.stats.export import write_campaign_summary
+
+    try:
+        summary = json.loads(
+            (Path(args.campaign_dir).expanduser() / SUMMARY_FILE).read_text())
+    except (OSError, ValueError):
         print(f"error: no summary.json under {args.campaign_dir!r} — "
               "has the campaign run (or finished a sweep) there?",
               file=sys.stderr)
@@ -134,10 +139,7 @@ def _campaign_summary(args) -> int:
     print(f"campaign dir: {args.campaign_dir}\n")
     print(format_campaign_summary(summary))
     if args.json:
-        import json
-        with open(args.json, "w") as handle:
-            json.dump(summary, handle, indent=2, default=str)
-            handle.write("\n")
+        write_campaign_summary(summary, args.json)
         print(f"\nwrote {args.json}")
     return 0
 

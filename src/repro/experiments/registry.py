@@ -64,10 +64,10 @@ class ExperimentDef:
         active scale) and return ``{protocol: SweepSeries}`` keyed like the
         figure legend (campaign experiments only).
 
-        Keyword arguments (``cache_dir``, ``campaign_dir``, ``resume``,
-        ``workers``, ...) go to :func:`repro.campaign.run_spec`.  A
-        quarantined cell raises — library callers expect a complete sweep;
-        call ``run_spec`` directly for the tolerant campaign semantics.
+        Keyword arguments (``cache_dir``, ``campaign_dir``, ``workers``,
+        ...) go to :func:`repro.campaign.run_spec`.  A quarantined cell
+        raises — library callers expect a complete sweep; call
+        ``run_spec`` directly for the tolerant campaign semantics.
         """
         from repro.campaign import run_spec
         outcome = run_spec(self.build_spec(config), **campaign_kwargs)

@@ -101,8 +101,7 @@ def format_campaign_summary(summary: dict) -> str:
     lines.append(
         f"cells: {summary.get('completed', 0)}/{summary.get('total_cells', 0)}"
         f" (executed {summary.get('executed', 0)}, cache hits "
-        f"{summary.get('cache_hits', 0)}, resumed "
-        f"{summary.get('resumed_from_journal', 0)}, quarantined "
+        f"{summary.get('cache_hits', 0)}, quarantined "
         f"{summary.get('quarantined', 0)})")
     wall = summary.get("cell_wall_s") or {}
     if wall.get("count"):

@@ -4,7 +4,9 @@ The benchmark harness prints ASCII panels; downstream analysis (plotting the
 figures with matplotlib, diffing runs) wants machine-readable series.  These
 helpers serialize :class:`~repro.stats.series.SweepSeries` collections with
 their per-point statistics, read them back as typed rows for round-trip
-verification, and export campaign telemetry summaries.
+verification, and export campaign telemetry summaries.  :func:`write_atomic`
+is the one durable publish: result-cache entries and campaign summaries
+both go through it.
 
 All writers accept ``str`` or :class:`os.PathLike` and create missing parent
 directories, so ``write_csv(results, out_dir / "runs" / "fig3.csv")`` just
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Mapping
 
@@ -28,6 +31,7 @@ __all__ = [
     "to_json",
     "write_json",
     "read_json_rows",
+    "write_atomic",
     "write_campaign_summary",
 ]
 
@@ -127,9 +131,33 @@ def read_json_rows(path: str | os.PathLike) -> list[dict]:
     return rows
 
 
+def write_atomic(path: str | os.PathLike, text: str) -> None:
+    """Publish ``text`` at ``path`` atomically and durably.
+
+    The bytes go to a temp file in the same directory, which is fsynced and
+    then ``os.replace``d over ``path``: a crash at any instant leaves either
+    the previous file or the new one, never a torn mix, and no temp file.
+    """
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def write_campaign_summary(summary: Mapping, path: str | os.PathLike) -> None:
-    """Write a campaign telemetry summary (see
-    :meth:`repro.campaign.telemetry.CampaignTelemetry.summary`) as JSON."""
-    with open(_prepare(path), "w") as handle:
-        json.dump(dict(summary), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Publish a campaign telemetry summary (see
+    :meth:`repro.campaign.telemetry.CampaignTelemetry.summary`) as JSON,
+    atomically; values JSON cannot encode are written as strings."""
+    write_atomic(_prepare(path),
+                 json.dumps(dict(summary), indent=2, sort_keys=True,
+                            default=str) + "\n")

@@ -107,6 +107,17 @@ def dying_run_one(protocol, x, seed, config):
     return make_summary(protocol, x, seed, config)
 
 
+def dying_or_napping_run_one(protocol, x, seed, config):
+    """Like :func:`dying_run_one`, plus (naps, *, *) cells that sleep 1 s —
+    long enough to be in flight when another worker dies — and
+    (doomed, *, *) cells that kill their worker on every attempt."""
+    if protocol == "naps":
+        time.sleep(1.0)
+    if protocol == "doomed":
+        os._exit(13)
+    return dying_run_one(protocol, x, seed, config)
+
+
 class InterruptAfter:
     """Serial-mode runner that simulates a mid-campaign kill: raises
     ``KeyboardInterrupt`` once ``limit`` cells have completed."""

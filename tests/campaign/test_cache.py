@@ -56,6 +56,19 @@ def test_no_tmp_litter_after_put(tmp_path):
     assert not list(tmp_path.glob("**/*.tmp"))
 
 
+def test_put_fsyncs_before_publishing(tmp_path, monkeypatch):
+    import os
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: (calls.append("fsync"), real_fsync(fd)))
+    monkeypatch.setattr(os, "replace",
+                        lambda src, dst: (calls.append("replace"),
+                                          real_replace(src, dst)))
+    ResultCache(tmp_path).put(KEY, make_summary("a", 1.0, 1, FakeConfig()))
+    assert calls == ["fsync", "replace"]  # the entry hit the disk barrier
+
+
 def test_meta_recorded(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(KEY, make_summary("a", 1.0, 1, FakeConfig()),

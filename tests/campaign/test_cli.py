@@ -1,5 +1,6 @@
 """CLI integration: the campaign subcommand and campaign flags on figs."""
 
+import dataclasses
 import json
 
 import pytest
@@ -50,8 +51,9 @@ def test_campaign_end_to_end(fake_spec, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "campaign summary" in out
     assert "cells: 4/4" in out
-    assert (campaign_dir / "journal.jsonl").exists()
-    assert (campaign_dir / "manifest.json").exists()
+    assert (campaign_dir / "summary.json").exists()
+    assert not (campaign_dir / "journal.jsonl").exists()
+    assert not (campaign_dir / "manifest.json").exists()
     summary = json.loads(summary_path.read_text())
     assert summary["executed"] == 4
 
@@ -88,12 +90,17 @@ def test_fig_command_with_cache_flags(fake_spec, tmp_path, capsys):
     assert fakes.CALLS == []  # second run served from cache
 
 
-def test_fig_command_resume_flag(fake_spec, tmp_path):
-    argv = ["fig1", "--campaign-dir", str(tmp_path / "camp"), "--no-cache"]
+def test_fig_command_rerun_resumes_from_cache(fake_spec, tmp_path,
+                                              monkeypatch):
+    argv = ["fig1", "--cache-dir", str(tmp_path / "cache"), "--quiet"]
+    killed = dataclasses.replace(fake_spec,
+                                 run_one=fakes.InterruptAfter(limit=3))
+    monkeypatch.setattr(cli, "_campaign_spec", lambda name: killed)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    monkeypatch.setattr(cli, "_campaign_spec", lambda name: fake_spec)
     assert cli.main(argv) == 0
-    fakes.CALLS.clear()
-    assert cli.main(argv + ["--resume"]) == 0
-    assert fakes.CALLS == []  # all cells replayed from the journal
+    assert len(fakes.CALLS) == 1  # only the cell the kill left unsettled
 
 
 @pytest.fixture
@@ -159,7 +166,7 @@ def failing_spec(monkeypatch):
 ], ids=["fig", "campaign"])
 def test_quarantine_exits_one_with_a_report(failing_spec, argv, tmp_path,
                                             monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # the campaign form journals under ./campaigns
+    monkeypatch.chdir(tmp_path)  # the campaign form writes under ./campaigns
     assert cli.main(argv + ["--retries", "0", "--quiet"]) == 1
     captured = capsys.readouterr()
     assert "campaign summary" in captured.out

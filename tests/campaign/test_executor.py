@@ -138,6 +138,35 @@ class TestProcessPool:
         dies = [(c, a) for c, _s, a in done if c.protocol == "dies"]
         assert dies[0][1] >= 2
 
+    def test_bystander_of_a_dead_worker_is_not_charged(self, tmp_path):
+        # Both cells are in flight when the dying one kills its worker, so
+        # both futures raise BrokenProcessPool.  Neither may lose an attempt:
+        # with zero retries, a charge would quarantine the innocent cell.
+        done, quarantined, on_done, on_q = collect()
+        ex = FaultTolerantExecutor(
+            fakes.dying_or_napping_run_one, FakeConfig(flag_dir=str(tmp_path)),
+            executor_config=ExecutorConfig(max_workers=2, max_retries=0,
+                                           poll_s=0.05))
+        ex.run(cells(("naps", 1.0, 1), ("dies", 1.0, 1)), on_done, on_q)
+        assert quarantined == []
+        assert sorted(c.protocol for c, _s, _a in done) == ["dies", "naps"]
+        assert ex.retries == 0
+        assert ex.pool_rebuilds >= 1
+
+    def test_cell_that_breaks_the_pool_alone_is_charged(self, tmp_path):
+        # Lost together, both cells rerun alone; only the one that kills its
+        # worker while alone is charged, until its retries run out.
+        done, quarantined, on_done, on_q = collect()
+        ex = FaultTolerantExecutor(
+            fakes.dying_or_napping_run_one, FakeConfig(flag_dir=str(tmp_path)),
+            executor_config=ExecutorConfig(max_workers=2, max_retries=1,
+                                           backoff_s=0.001, poll_s=0.05))
+        ex.run(cells(("naps", 1.0, 1), ("doomed", 1.0, 1)), on_done, on_q)
+        assert [c.protocol for c, _s, _a in done] == ["naps"]
+        assert [f.cell.protocol for f in quarantined] == ["doomed"]
+        assert "worker died" in quarantined[0].error
+        assert ex.retries == 1
+
     def test_pool_found_broken_at_submit_is_rebuilt(self, monkeypatch):
         # A worker can die between loop iterations, so the next submit
         # raises instead of a future; the cell must go to a fresh pool.

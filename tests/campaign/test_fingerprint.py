@@ -1,14 +1,16 @@
 """Content addressing: stability, sensitivity, canonical forms."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.campaign.fingerprint import (
-    campaign_fingerprint,
-    canonicalize,
-    cell_key,
-    runner_name_of,
-)
+import repro
+from repro.campaign.fingerprint import canonicalize, cell_key, runner_name_of
 from tests.campaign.fakes import FakeConfig, make_summary
 
 
@@ -69,21 +71,44 @@ class TestCellKey:
                             varied["seed"], varied["config"], varied["extra"])
         assert k_base != k_varied
 
-    def test_version_is_part_of_the_key(self, monkeypatch):
-        import repro
-        k1 = cell_key("fig1", "ssaf", 1.0, 1, FakeConfig())
-        monkeypatch.setattr(repro, "__version__", "999.0.0")
-        k2 = cell_key("fig1", "ssaf", 1.0, 1, FakeConfig())
-        assert k1 != k2
-
-
-class TestCampaignFingerprint:
-    def test_grid_shape_matters(self):
-        config = FakeConfig()
-        f1 = campaign_fingerprint("fig1", ("a", "b"), (1.0,), (1, 2), config)
-        f2 = campaign_fingerprint("fig1", ("a", "b"), (1.0,), (1, 2, 3), config)
-        f3 = campaign_fingerprint("fig1", ("a",), (1.0,), (1, 2), config)
-        assert len({f1, f2, f3}) == 3
-
     def test_runner_name_of(self):
         assert runner_name_of(make_summary).endswith("fakes.make_summary")
+
+
+class TestModelFingerprint:
+    """The key follows the model's source: a copy of the package is edited
+    and each key is computed in a fresh interpreter importing that copy."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        root = tmp_path / "src"
+        shutil.copytree(Path(repro.__file__).parent, root / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        return root
+
+    @staticmethod
+    def key_of(src_root):
+        code = ("import repro; "
+                "from repro.campaign.fingerprint import cell_key; "
+                "print(repro.__file__); "
+                "print(cell_key('fig1', 'ssaf', 1.0, 1, None))")
+        env = {**os.environ, "PYTHONPATH": str(src_root)}
+        origin, key = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env,
+            capture_output=True, text=True).stdout.split()
+        assert Path(origin).is_relative_to(src_root)  # the copy, not ours
+        return key
+
+    @staticmethod
+    def touch(path):
+        path.write_text(path.read_text() + "\n# edited\n")
+
+    def test_model_edit_changes_the_key(self, package):
+        before = self.key_of(package)
+        self.touch(package / "repro" / "phy" / "radio.py")
+        assert self.key_of(package) != before
+
+    def test_reporting_edit_keeps_the_key(self, package):
+        before = self.key_of(package)
+        self.touch(package / "repro" / "obs" / "summary.py")
+        assert self.key_of(package) == before

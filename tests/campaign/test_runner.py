@@ -1,24 +1,22 @@
 """Campaign orchestration: the PR's acceptance criteria live here.
 
-* crash-resume — a campaign killed after N cells and relaunched with
-  ``resume=True`` executes only the remaining cells and produces results
+* crash-resume — a campaign killed after N cells and re-run on the same
+  result cache executes only the remaining cells and produces results
   identical to an uninterrupted run;
 * cache-hit — re-running an identical sweep performs zero executions and
   reports a 100 % cache-hit ratio; config/seed changes invalidate exactly
   the affected cells;
 * quarantine — a persistently failing cell is retried, then reported in the
   summary without failing the other cells;
-* worker death — a pool worker killed mid-cell costs a retry, not a cell:
-  the journal and the cache still hold every result exactly once.
+* worker death — a pool worker killed mid-cell costs a rerun, not a cell:
+  the cache still holds every result exactly once.
 """
 
-import dataclasses
 import json
 
 import pytest
 
 from repro.campaign import ResultCache, run_campaign
-from repro.campaign.journal import CampaignJournal, ManifestMismatch
 from repro.stats.series import METRIC_FIELDS
 from tests.campaign import fakes
 from tests.campaign.fakes import FakeConfig, InterruptAfter, make_summary
@@ -116,38 +114,35 @@ class TestCacheHits:
 
 class TestCrashResume:
     def test_interrupted_campaign_resumes_missing_cells_only(self, tmp_path):
-        campaign_dir = tmp_path / "camp"
+        cache_dir = tmp_path / "cache"
         baseline = run_campaign(fakes.counting_run_one, **grid_kwargs())
 
         interrupted = InterruptAfter(limit=3)
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(interrupted,
-                         **grid_kwargs(campaign_dir=campaign_dir))
+            run_campaign(interrupted, **grid_kwargs(cache_dir=cache_dir))
 
         fakes.CALLS.clear()
         resumed = run_campaign(fakes.counting_run_one,
-                               **grid_kwargs(campaign_dir=campaign_dir,
-                                             resume=True))
+                               **grid_kwargs(cache_dir=cache_dir))
         # Only the cells the kill left unsettled re-execute...
         assert len(fakes.CALLS) == GRID_SIZE - 3
-        assert resumed.summary["resumed_from_journal"] == 3
+        assert resumed.summary["cache_hits"] == 3
         assert resumed.summary["executed"] == GRID_SIZE - 3
         # ...and the reassembled series are identical to an uninterrupted run.
         assert_identical(baseline.results, resumed.results)
 
     def test_resume_of_complete_campaign_executes_nothing(self, tmp_path):
-        campaign_dir = tmp_path / "camp"
+        cache_dir = tmp_path / "cache"
         first = run_campaign(fakes.counting_run_one,
-                             **grid_kwargs(campaign_dir=campaign_dir))
+                             **grid_kwargs(cache_dir=cache_dir))
         fakes.CALLS.clear()
         again = run_campaign(fakes.counting_run_one,
-                             **grid_kwargs(campaign_dir=campaign_dir,
-                                           resume=True))
+                             **grid_kwargs(cache_dir=cache_dir))
         assert fakes.CALLS == []
-        assert again.summary["resumed_from_journal"] == GRID_SIZE
+        assert again.summary["cache_hits"] == GRID_SIZE
         assert_identical(first.results, again.results)
 
-    def test_fresh_run_ignores_journal(self, tmp_path):
+    def test_uncached_rerun_starts_over(self, tmp_path):
         campaign_dir = tmp_path / "camp"
         run_campaign(fakes.counting_run_one,
                      **grid_kwargs(campaign_dir=campaign_dir))
@@ -155,31 +150,7 @@ class TestCrashResume:
         rerun = run_campaign(fakes.counting_run_one,
                              **grid_kwargs(campaign_dir=campaign_dir))
         assert len(fakes.CALLS) == GRID_SIZE
-        assert rerun.summary["resumed_from_journal"] == 0
-
-    def test_resume_under_changed_grid_refused(self, tmp_path):
-        campaign_dir = tmp_path / "camp"
-        run_campaign(fakes.counting_run_one,
-                     **grid_kwargs(campaign_dir=campaign_dir))
-        with pytest.raises(ManifestMismatch):
-            run_campaign(fakes.counting_run_one,
-                         **grid_kwargs(seeds=(1, 2, 3),
-                                       campaign_dir=campaign_dir,
-                                       resume=True))
-
-    def test_journal_and_cache_compose(self, tmp_path):
-        """A killed cached campaign resumes from journal AND cache."""
-        cache_dir, campaign_dir = tmp_path / "cache", tmp_path / "camp"
-        # Warm the cache for the first protocol only.
-        run_campaign(fakes.counting_run_one,
-                     **grid_kwargs(protocols=("alpha",), cache_dir=cache_dir))
-        fakes.CALLS.clear()
-        outcome = run_campaign(fakes.counting_run_one,
-                               **grid_kwargs(cache_dir=cache_dir,
-                                             campaign_dir=campaign_dir))
-        assert outcome.summary["cache_hits"] == len(XS) * len(SEEDS)
-        assert outcome.summary["executed"] == len(XS) * len(SEEDS)
-        assert all(p == "beta" for p, _x, _s in fakes.CALLS)
+        assert rerun.summary["cache_hits"] == 0
 
 
 class TestQuarantine:
@@ -201,17 +172,16 @@ class TestQuarantine:
         assert outcome.results["good"].xs == list(XS)
 
     def test_quarantined_cells_retry_on_resume(self, tmp_path):
-        campaign_dir = tmp_path / "camp"
+        cache_dir = tmp_path / "cache"
         run_campaign(fakes.failing_run_one,
                      **grid_kwargs(protocols=("bad", "good"), max_retries=0,
-                                   campaign_dir=campaign_dir))
+                                   cache_dir=cache_dir))
         fakes.CALLS.clear()
-        # Same grid, now with a runner that succeeds everywhere: resume
-        # replays the clean cells and re-runs only the quarantined ones.
+        # Same grid, now with a runner that succeeds everywhere: the cache
+        # never stores failures, so only the quarantined cells re-run.
         resumed = run_campaign(fakes.counting_run_one,
                                **grid_kwargs(protocols=("bad", "good"),
-                                             campaign_dir=campaign_dir,
-                                             resume=True))
+                                             cache_dir=cache_dir))
         assert sorted(fakes.CALLS) == sorted(
             ("bad", 1.0, s) for s in SEEDS)
         assert not resumed.quarantined
@@ -234,12 +204,21 @@ class TestTelemetry:
         outcome = run_campaign(fakes.counting_run_one, **grid_kwargs())
         summary = outcome.summary
         for field in ("total_cells", "completed", "executed", "cache_hits",
-                      "resumed_from_journal", "retries", "quarantined",
+                      "retries", "quarantined",
                       "elapsed_s", "cells_per_sec", "cache_hit_ratio",
                       "cell_wall_s", "runner", "quarantined_cells"):
             assert field in summary
         assert summary["runner"] == "fake"
         assert summary["cell_wall_s"]["total"] >= 0.0
+
+    def test_runner_persists_summary_json(self, tmp_path):
+        outcome = run_campaign(fakes.counting_run_one,
+                               **grid_kwargs(campaign_dir=tmp_path))
+        persisted = json.loads((tmp_path / "summary.json").read_text())
+        assert persisted["runner"] == "fake"
+        assert persisted["completed"] == outcome.summary["completed"] \
+            == GRID_SIZE
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["summary.json"]
 
     def test_parallel_workers_bit_identical(self):
         serial = run_campaign(fakes.counting_run_one, **grid_kwargs())
@@ -258,15 +237,14 @@ class TestWorkerDeath:
         first = run_campaign(fakes.dying_run_one, **kwargs)
         assert not first.quarantined
         assert first.summary["executed"] == GRID_SIZE
-        assert first.summary["retries"] >= 1  # the dead worker's cells
+        # Each dying cell lost its worker once, then ran again.
+        assert all(r.attempts >= 2 for r in first.records.values()
+                   if r.protocol == "dies")
 
-        journal = CampaignJournal(tmp_path / "campaign")
-        records = [json.loads(line)
-                   for line in journal.journal_path.read_text().splitlines()]
-        done = [r["key"] for r in records if r["status"] == "done"]
-        assert sorted(done) == sorted(first.records)  # one each, none twice
-        assert not [r for r in records if r["status"] == "quarantined"]
+        assert len(first.records) == GRID_SIZE
+        assert all(r.status == "done" for r in first.records.values())
         cache = ResultCache(tmp_path / "cache")
+        assert cache.entry_count() == GRID_SIZE  # one each, none twice
         assert all(cache.get(key) is not None for key in first.records)
 
         replay = run_campaign(fakes.dying_run_one, **kwargs)

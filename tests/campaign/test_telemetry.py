@@ -56,7 +56,6 @@ class TestCellWallStats:
         telemetry = CampaignTelemetry(total=4)
         telemetry.record("run", 2.0)
         telemetry.record("cache")
-        telemetry.record("journal")
         telemetry.record("quarantined")
         stats = telemetry.summary()["cell_wall_s"]
         assert stats["count"] == 1 and stats["total"] == 2.0

@@ -89,8 +89,7 @@ class TestCampaignSummary:
                              "--json", str(json_out)]) == 0
         out = capsys.readouterr().out
         assert "campaign: fake" in out
-        assert "cells: 4/4 (executed 4, cache hits 0, resumed 0, " \
-               "quarantined 0)" in out
+        assert "cells: 4/4 (executed 4, cache hits 0, quarantined 0)" in out
         assert "cell wall: mean" in out and "(4 executed)" in out
         assert json.loads(json_out.read_text())["executed"] == 4
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -98,6 +99,26 @@ class TestPathHandling:
         path = tmp_path / "runs" / "summary.json"
         write_campaign_summary({"executed": 3, "cache_hits": 1}, path)
         assert json.loads(path.read_text()) == {"executed": 3, "cache_hits": 1}
+
+    def test_unjsonable_summary_values_are_stringified(self, tmp_path):
+        path = tmp_path / "summary.json"
+        write_campaign_summary({"path": tmp_path}, path)  # Path: not JSON
+        assert json.loads(path.read_text()) == {"path": str(tmp_path)}
+
+    def test_summary_publish_is_atomic(self, tmp_path, monkeypatch):
+        path = tmp_path / "summary.json"
+        write_campaign_summary({"completed": 1}, path)
+
+        def failing_replace(src, dst):
+            raise OSError("powercut")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            write_campaign_summary({"completed": 2}, path)
+        monkeypatch.undo()
+        # The previous summary survives intact; no temp debris remains.
+        assert json.loads(path.read_text()) == {"completed": 1}
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestCli:

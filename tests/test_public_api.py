@@ -5,7 +5,8 @@ A stale entry in ``__all__`` (a re-export whose module was deleted or
 renamed) only fails on ``from repro.api import *`` or on first use, so
 check it explicitly.  The package module itself exports nothing and must
 stay import-free: ``import repro.sim.engine`` should not pay for the
-whole stack.
+whole stack, nor ``python -m repro.experiments`` before it parses its
+arguments.
 """
 
 import importlib
@@ -55,17 +56,30 @@ def test_promised_names_stay_exported():
     assert sorted(PROMISED - set(repro.api.__all__)) == []
 
 
-def test_package_import_loads_no_submodule():
-    # A fresh interpreter: this test session has long since imported the
-    # whole package, so only a new process shows what ``import repro`` costs.
-    code = ("import sys, repro; "
+def _fresh_import(module_name):
+    """``(repro.__version__, sorted loaded repro.* modules)`` after importing
+    ``module_name`` in a fresh interpreter: this test session has long since
+    imported the whole package, so only a new process shows what an import
+    costs."""
+    code = (f"import sys, repro, {module_name}; "
             "print(repro.__version__); "
             "print(sorted(m for m in sys.modules if m.startswith('repro.')))")
     import repro
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], check=True, env=env,
-                         capture_output=True, text=True).stdout.splitlines()
-    assert out[0]
-    assert out[1] == "[]"
+    return subprocess.run([sys.executable, "-c", code], check=True, env=env,
+                          capture_output=True, text=True).stdout.splitlines()
+
+
+def test_package_import_loads_no_submodule():
+    version, loaded = _fresh_import("repro")
+    assert version
+    assert loaded == "[]"
+
+
+def test_experiments_cli_import_loads_no_simulator():
+    # ``python -m repro.experiments`` parses its arguments before importing
+    # any experiment: the package init re-exports nothing.
+    _version, loaded = _fresh_import("repro.experiments.cli")
+    assert loaded == "['repro.experiments', 'repro.experiments.cli']"
