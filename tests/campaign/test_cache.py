@@ -50,6 +50,18 @@ def test_corrupt_entry_is_a_miss(tmp_path):
     assert cache.get(KEY) is None
 
 
+def test_torn_entry_leaves_other_entries_readable(tmp_path):
+    cache = ResultCache(tmp_path)
+    kept = make_summary("a", 1.0, 1, FakeConfig())
+    cache.put(KEY, kept)
+    cache.put(OTHER, make_summary("b", 2.0, 1, FakeConfig()))
+    torn = cache._path(OTHER)
+    text = torn.read_text()
+    torn.write_text(text[: len(text) // 2])  # cut mid-write
+    assert cache.get(KEY) == kept
+    assert cache.get(OTHER) is None
+
+
 def test_no_tmp_litter_after_put(tmp_path):
     cache = ResultCache(tmp_path)
     cache.put(KEY, make_summary("a", 1.0, 1, FakeConfig()))

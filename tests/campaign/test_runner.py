@@ -153,6 +153,22 @@ class TestCrashResume:
         assert rerun.summary["cache_hits"] == 0
 
 
+    def test_partly_warm_cache_runs_only_cold_cells(self, tmp_path):
+        """A campaign over a cache warmed for one protocol runs the rest."""
+        cache_dir, campaign_dir = tmp_path / "cache", tmp_path / "camp"
+        run_campaign(fakes.counting_run_one,
+                     **grid_kwargs(protocols=("alpha",), cache_dir=cache_dir))
+        fakes.CALLS.clear()
+        outcome = run_campaign(fakes.counting_run_one,
+                               **grid_kwargs(cache_dir=cache_dir,
+                                             campaign_dir=campaign_dir))
+        assert outcome.summary["cache_hits"] == len(XS) * len(SEEDS)
+        assert outcome.summary["executed"] == len(XS) * len(SEEDS)
+        assert all(p == "beta" for p, _x, _s in fakes.CALLS)
+        written = json.loads((campaign_dir / "summary.json").read_text())
+        assert written["cache_hits"] == outcome.summary["cache_hits"]
+
+
 class TestQuarantine:
     def test_failing_cell_reported_not_fatal(self, tmp_path):
         outcome = run_campaign(

@@ -100,6 +100,15 @@ class TestPathHandling:
         write_campaign_summary({"executed": 3, "cache_hits": 1}, path)
         assert json.loads(path.read_text()) == {"executed": 3, "cache_hits": 1}
 
+    def test_campaign_summary_roundtrip(self, tmp_path):
+        path = tmp_path / "summary.json"
+        assert not path.exists()
+        write_campaign_summary({"completed": 4}, path)
+        write_campaign_summary({"completed": 8,
+                                "cell_wall_s": {"p50": 0.5}}, path)
+        assert json.loads(path.read_text()) == {"completed": 8,
+                                                "cell_wall_s": {"p50": 0.5}}
+
     def test_unjsonable_summary_values_are_stringified(self, tmp_path):
         path = tmp_path / "summary.json"
         write_campaign_summary({"path": tmp_path}, path)  # Path: not JSON
