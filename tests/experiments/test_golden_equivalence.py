@@ -38,16 +38,27 @@ GOLDEN = {
                   0.024220388198449964, 3.0, 4.770111999999947),
 }
 
+#: The same fig1 cells under the SINR reception model, whose interference
+#: sum adds the live receptions' linear powers in arrival order: a change in
+#: how a radio keeps its live receptions must leave these floats untouched.
+SINR_GOLDEN = {
+    ("counter1", 1): (177213, 2142, 149, 150,
+                      0.026276224872874135, 2.838926174496644, 5.003711999999914),
+    ("ssaf", 1): (176491, 2165, 150, 150,
+                  0.016028735286566682, 2.5866666666666664, 5.0574399999999065),
+}
+
 INTERVAL_S = 1.0
 def EXACT(value):
     return pytest.approx(value, rel=1e-12, abs=0.0)
 
 
-def run_cell(protocol: str, seed: int):
+def run_cell(protocol: str, seed: int, sinr_model: bool = False):
     config = Fig1Config()
     scenario = ScenarioConfig(
         n_nodes=config.n_nodes, width_m=config.terrain_m,
-        height_m=config.terrain_m, range_m=config.range_m, seed=seed)
+        height_m=config.terrain_m, range_m=config.range_m, seed=seed,
+        sinr_model=sinr_model)
     net = build_protocol_network(protocol, scenario)
     flows = pick_flows(config.n_nodes, config.n_connections,
                        RandomStreams(seed + 7777).stream("fig1.flows"),
@@ -57,10 +68,8 @@ def run_cell(protocol: str, seed: int):
     return net
 
 
-@pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
-def test_fig1_cell_matches_seed_implementation(protocol, seed):
-    events, tx, delivered, generated, delay, hops, airtime = GOLDEN[(protocol, seed)]
-    net = run_cell(protocol, seed)
+def assert_matches(net, golden):
+    events, tx, delivered, generated, delay, hops, airtime = golden
     summary = net.summary()
 
     assert net.simulator.events_processed == events
@@ -71,6 +80,17 @@ def test_fig1_cell_matches_seed_implementation(protocol, seed):
     assert summary.avg_delay_s == EXACT(delay)
     assert summary.avg_hops == EXACT(hops)
     assert net.channel.airtime_s == EXACT(airtime)
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(GOLDEN))
+def test_fig1_cell_matches_seed_implementation(protocol, seed):
+    assert_matches(run_cell(protocol, seed), GOLDEN[(protocol, seed)])
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(SINR_GOLDEN))
+def test_fig1_sinr_cell_matches_recording(protocol, seed):
+    assert_matches(run_cell(protocol, seed, sinr_model=True),
+                   SINR_GOLDEN[(protocol, seed)])
 
 
 @pytest.mark.slow
