@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.timer import CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter
+from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
 __all__ = ["ClusterConfig", "ClusterNode"]
@@ -145,7 +146,7 @@ class ClusterNode(Component):
 
     # -------------------------------------------------------------- receive
 
-    def _on_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_packet(self, packet: Packet, rx: Reception) -> None:
         payload = packet.payload
         if not (isinstance(payload, tuple) and payload and payload[0] == "cl"):
             return

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.timer import CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter
+from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
 __all__ = ["CoordinatorConfig", "CoordinatorRole", "SpanCoordinator"]
@@ -212,7 +213,7 @@ class SpanCoordinator(Component):
             payload=("span",) + payload,
         ))
 
-    def _on_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_packet(self, packet: Packet, rx: Reception) -> None:
         payload = packet.payload
         if not (isinstance(payload, tuple) and payload and payload[0] == "span"):
             return

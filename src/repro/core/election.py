@@ -33,8 +33,9 @@ from typing import Callable, Optional
 
 from repro.core.backoff import BackoffInput, BackoffPolicy
 from repro.core.timer import CandidateState, CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter
+from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
 __all__ = [
@@ -86,7 +87,7 @@ class ElectionNode(Component):
         mac: CsmaMac,
         config: ElectionConfig,
         candidate: bool = True,
-        observe: Callable[[Packet, MacRxInfo], BackoffInput] | None = None,
+        observe: Callable[[Packet, Reception], BackoffInput] | None = None,
     ):
         super().__init__(ctx, f"election[{node_id}]")
         self.node_id = node_id
@@ -145,14 +146,14 @@ class ElectionNode(Component):
 
     # ------------------------------------------------------------ reception
 
-    def _default_observe(self, packet: Packet, rx: MacRxInfo) -> BackoffInput:
+    def _default_observe(self, packet: Packet, rx: Reception) -> BackoffInput:
         return BackoffInput(
             rng=self._rng,
             rx_power_dbm=rx.power_dbm,
             expected_hops=packet.expected_hops,
         )
 
-    def _on_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.kind == PacketKind.SYNC:
             self._on_sync(packet, rx)
         elif packet.kind == PacketKind.ANNOUNCE:
@@ -160,7 +161,7 @@ class ElectionNode(Component):
         elif packet.kind == PacketKind.NET_ACK:
             self._on_ack(packet)
 
-    def _on_sync(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_sync(self, packet: Packet, rx: Reception) -> None:
         if not self.candidate:
             return
         uid = packet.uid

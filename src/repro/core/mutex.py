@@ -33,8 +33,9 @@ from typing import Callable, Optional
 
 from repro.core.backoff import BackoffInput
 from repro.core.timer import CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter
+from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
 __all__ = ["MutexConfig", "MutexState", "TokenMutex"]
@@ -243,7 +244,7 @@ class TokenMutex(Component):
             payload=payload,
         ))
 
-    def _on_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_packet(self, packet: Packet, rx: Reception) -> None:
         if not isinstance(packet.payload, tuple) or not packet.payload:
             return
         tag = packet.payload[0]

@@ -206,7 +206,8 @@ def _run_sweep(name: str, args, durable: bool) -> int:
     defaults to ``campaigns/<name>`` and its cache to ``campaigns/cache``,
     and its campaign summary always prints.  The fig form keeps both off
     unless asked and prints the summary only when a cell was quarantined or
-    ``--summary-json`` is given.  Exits 1 when any cell was quarantined.
+    ``--summary-json`` is given.  Exits 1 when any cell was quarantined and
+    130 on Ctrl-C, with one stderr line saying whether a re-run resumes.
     """
     from repro.campaign import run_spec
     from repro.experiments import registry
@@ -230,16 +231,25 @@ def _run_sweep(name: str, args, durable: bool) -> int:
         def progress(event):
             print(str(event), file=sys.stderr)
 
-    outcome = run_spec(
-        spec,
-        cache_dir=None if args.no_cache else cache_dir,
-        campaign_dir=campaign_dir,
-        workers=args.workers,
-        timeout_s=args.timeout,
-        max_retries=args.retries,
-        observe=args.observe,
-        progress=progress,
-    )
+    cache_dir = None if args.no_cache else cache_dir
+    try:
+        outcome = run_spec(
+            spec,
+            cache_dir=cache_dir,
+            campaign_dir=campaign_dir,
+            workers=args.workers,
+            timeout_s=args.timeout,
+            max_retries=args.retries,
+            observe=args.observe,
+            progress=progress,
+        )
+    except KeyboardInterrupt:
+        # Every cell settled before the interrupt is already in the cache.
+        hint = (f"re-run the same command to resume from {cache_dir}"
+                if cache_dir is not None
+                else "no cache was kept, so a re-run starts over")
+        print(f"interrupted: {hint}", file=sys.stderr)
+        return 130
     _print_panels(name, outcome.results)
     if durable or outcome.quarantined or args.summary_json:
         _report_campaign(outcome, args)

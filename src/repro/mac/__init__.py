@@ -1,6 +1,6 @@
 """Medium access control: CSMA/CA, frames, transmit queues."""
 
-from repro.mac.csma import CsmaMac, MacConfig, MacRxInfo
+from repro.mac.csma import CsmaMac, MacConfig
 from repro.mac.frame import MAC_ACK_SIZE, MAC_HEADER_SIZE, Frame
 from repro.mac.queue import FifoTxQueue, PriorityTxQueue, TxJob
 
@@ -11,7 +11,6 @@ __all__ = [
     "MAC_ACK_SIZE",
     "MAC_HEADER_SIZE",
     "MacConfig",
-    "MacRxInfo",
     "PriorityTxQueue",
     "TxJob",
 ]

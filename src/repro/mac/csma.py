@@ -40,9 +40,9 @@ from repro.sim.components import Component, SimContext
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.packet import Packet
-    from repro.phy.radio import RxInfo, Transceiver
+    from repro.phy.radio import Reception, Transceiver
 
-__all__ = ["MacConfig", "MacRxInfo", "CsmaMac"]
+__all__ = ["MacConfig", "CsmaMac"]
 
 
 @dataclass(frozen=True)
@@ -77,16 +77,6 @@ class MacConfig:
         return min(self.cw_min_slots << retries, self.cw_max_slots)
 
 
-@dataclass(slots=True)
-class MacRxInfo:
-    """Reception metadata handed to the network layer with each packet."""
-
-    src: int
-    power_dbm: float
-    time: float
-    overheard: bool = False
-
-
 class CsmaMac(Component):
     """One node's MAC entity, wired to its :class:`Transceiver`."""
 
@@ -107,7 +97,8 @@ class CsmaMac(Component):
         #: runs are unchanged to the last bit.
         self.time_scale = 1.0
 
-        #: Delivers ``(packet, MacRxInfo)`` for every received network packet.
+        #: Delivers ``(packet, Reception)`` for every received network packet
+        #: (promiscuous: also unicasts whose ``rx.frame.dst`` is another node).
         self.to_net = self.outport("to_net")
         #: Delivers ``(packet, dst)`` when a unicast exhausts its retries.
         self.send_failed = self.outport("send_failed")
@@ -438,7 +429,7 @@ class CsmaMac(Component):
 
     # -------------------------------------------------------------- receive
 
-    def _on_frame(self, frame: Frame, info: "RxInfo") -> None:
+    def _on_frame(self, frame: Frame, rx: "Reception") -> None:
         # Third-party RTS/CTS reservations charge our NAV.
         if frame.nav_s > 0.0 and frame.dst != self.node_id:
             self._set_nav(self.now + frame.nav_s)
@@ -463,8 +454,6 @@ class CsmaMac(Component):
                 self.schedule(self.config.sifs_s, self._send_reserved_data)
             return
 
-        rx = MacRxInfo(frame.src, info.power_dbm, self.sim.now,
-                       frame.dst is not None and frame.dst != self.node_id)
         if frame.is_broadcast:
             self.delivered_up += 1
             self.to_net.emit(frame.payload, rx)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
@@ -38,6 +38,7 @@ from repro.net.packet import (
     PacketKind,
 )
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = ["AodvConfig", "Route", "Aodv"]
@@ -171,7 +172,7 @@ class Aodv(NetworkProtocol):
 
     # -------------------------------------------------------------- receive
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.origin == self.node_id:
             return  # our own flood echoing back
         if packet.kind == PacketKind.RREQ:
@@ -183,7 +184,7 @@ class Aodv(NetworkProtocol):
         elif packet.kind == PacketKind.RERR:
             self._on_rerr(packet, rx)
 
-    def _on_rreq(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_rreq(self, packet: Packet, rx: Reception) -> None:
         if not self.dup_cache.record(packet):
             # duplicate suppression — but never backoff cancellation
             if self.ctx.observing:
@@ -202,7 +203,7 @@ class Aodv(NetworkProtocol):
         forwarded = packet.forwarded(self.node_id)
         self.schedule(jitter, self.mac.send, forwarded)
 
-    def _send_rrep(self, rreq: Packet, rx: MacRxInfo) -> None:
+    def _send_rrep(self, rreq: Packet, rx: Reception) -> None:
         reply = Packet(
             kind=PacketKind.RREP,
             origin=self.node_id,
@@ -216,7 +217,7 @@ class Aodv(NetworkProtocol):
         # The reverse route we just learned points at rx.src.
         self.mac.send(reply, dst=rx.src)
 
-    def _on_rrep(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_rrep(self, packet: Packet, rx: Reception) -> None:
         self._learn(packet.origin, rx.src, packet.actual_hops + 1)
         if packet.target == self.node_id:
             self._discovery_succeeded(packet.origin)
@@ -226,7 +227,7 @@ class Aodv(NetworkProtocol):
             return  # reverse route evaporated; the source will retry
         self.mac.send(packet.forwarded(self.node_id), dst=route.next_hop)
 
-    def _on_data(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_data(self, packet: Packet, rx: Reception) -> None:
         # MAC retransmission after a lost ack can deliver the same packet
         # twice; forwarding it twice would double-count transmissions.
         if not self.dup_cache.record(packet):
@@ -308,7 +309,7 @@ class Aodv(NetworkProtocol):
         self.rerrs_sent += 1
         self.mac.send(rerr)
 
-    def _on_rerr(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_rerr(self, packet: Packet, rx: Reception) -> None:
         affected = set()
         for dest in packet.payload:
             route = self.routes.get(dest)

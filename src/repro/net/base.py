@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.packet import Packet, PacketKind, SeqCounter
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -62,7 +63,7 @@ class NetworkProtocol(Component):
         self.seq = SeqCounter()
         self.dup_cache = DuplicateCache()
 
-        #: Delivers ``(packet, MacRxInfo)`` to the application layer.
+        #: Delivers ``(packet, Reception)`` to the application layer.
         self.deliver = self.outport("deliver")
 
         mac.to_net.connect(self.on_mac_packet)
@@ -74,7 +75,7 @@ class NetworkProtocol(Component):
         """Originate one data packet toward ``target``."""
         raise NotImplementedError
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         raise NotImplementedError
 
     def on_send_failed(self, packet: Packet, dst: Optional[int]) -> None:
@@ -97,7 +98,7 @@ class NetworkProtocol(Component):
             self.ctx.obs.on_originate(self.now, self.node_id, packet.uid)
         return packet
 
-    def deliver_up(self, packet: Packet, rx: MacRxInfo) -> None:
+    def deliver_up(self, packet: Packet, rx: Reception) -> None:
         """Hand a packet that reached its target to the application."""
         if self.metrics is not None:
             self.metrics.on_delivered(packet, self.now, self.node_id)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
@@ -37,6 +37,7 @@ from repro.net.packet import (
     PacketKind,
 )
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = ["DsdvConfig", "DsdvRoute", "Dsdv"]
@@ -129,7 +130,7 @@ class Dsdv(NetworkProtocol):
         self.updates_sent += 1
         self.mac.send(packet)
 
-    def _on_update(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_update(self, packet: Packet, rx: Reception) -> None:
         changed = False
         for dest, (seq, hops) in packet.payload.items():
             if dest == self.node_id:
@@ -192,7 +193,7 @@ class Dsdv(NetworkProtocol):
 
     # -------------------------------------------------------------- receive
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.origin == self.node_id:
             return
         if packet.kind == PacketKind.ANNOUNCE:
@@ -200,7 +201,7 @@ class Dsdv(NetworkProtocol):
         elif packet.kind == PacketKind.DATA:
             self._on_data(packet, rx)
 
-    def _on_data(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_data(self, packet: Packet, rx: Reception) -> None:
         if not self.dup_cache.record(packet):
             if self.ctx.observing:
                 self.obs_drop(packet, DropReason.DUPLICATE)

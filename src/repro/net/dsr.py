@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
@@ -37,6 +37,7 @@ from repro.net.packet import (
     PacketKind,
 )
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = ["DsrConfig", "Dsr"]
@@ -180,7 +181,7 @@ class Dsr(NetworkProtocol):
 
     # -------------------------------------------------------------- receive
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.origin == self.node_id and packet.kind == PacketKind.RREQ:
             return  # our own flood echoing back
         if packet.kind == PacketKind.RREQ:
@@ -241,7 +242,7 @@ class Dsr(NetworkProtocol):
             return
         self.mac.send(packet.forwarded(self.node_id), dst=route[index - 1])
 
-    def _on_data(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_data(self, packet: Packet, rx: Reception) -> None:
         if not self.dup_cache.record(packet):
             if self.ctx.observing:
                 self.obs_drop(packet, DropReason.DUPLICATE)

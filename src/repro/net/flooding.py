@@ -30,10 +30,11 @@ from typing import Optional
 
 from repro.core.backoff import BackoffInput, BackoffPolicy, RandomBackoff, SignalStrengthBackoff
 from repro.core.timer import CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import DEFAULT_DATA_SIZE, Packet, PacketKind
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = [
@@ -66,7 +67,9 @@ class ElectionFlooding(NetworkProtocol):
         self.config = config
         self._policy_rng = self.rng("policy")
         self._timers: dict[tuple, CandidateTimer] = {}
+        # Relays the MAC accepted but has not yet put on the air.
         self._queued_fwd: dict[tuple, Packet] = {}
+        mac.sent.connect(self._on_sent)
         # counters for tests / ablations
         self.rebroadcasts = 0
         self.suppressed = 0
@@ -84,7 +87,7 @@ class ElectionFlooding(NetworkProtocol):
 
     # ------------------------------------------------------------- receives
 
-    def observe(self, packet: Packet, rx: MacRxInfo) -> BackoffInput:
+    def observe(self, packet: Packet, rx: Reception) -> BackoffInput:
         """What this node knows at the implicit sync point.  Subclasses with
         richer knowledge (e.g. oracle location) override this."""
         return BackoffInput(
@@ -93,7 +96,7 @@ class ElectionFlooding(NetworkProtocol):
             expected_hops=packet.expected_hops,
         )
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.kind != PacketKind.DATA:
             return
         if not self.dup_cache.record(packet):
@@ -145,10 +148,14 @@ class ElectionFlooding(NetworkProtocol):
             self.obs_forward(packet, backoff_s=backoff_used)
             self.ctx.obs.on_election_win(self.now, self.node_id, packet.uid,
                                          self.PROTOCOL_NAME, backoff_used)
-        self._queued_fwd[packet.uid] = forwarded
         # The election backoff doubles as the intra-node queue priority: with
         # the MAC priority queue, urgent relays overtake queued laggards.
-        self.mac.send(forwarded, priority=backoff_used)
+        if self.mac.send(forwarded, priority=backoff_used):
+            self._queued_fwd[packet.uid] = forwarded
+
+    def _on_sent(self, packet: Packet, dst: Optional[int]) -> None:
+        """MAC callback: the packet is on the air and cannot be withdrawn."""
+        self._queued_fwd.pop(packet.uid, None)
 
 
 class BlindFlooding(ElectionFlooding):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.backoff import BackoffInput, RandomBackoff
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
@@ -30,6 +30,7 @@ from repro.net.packet import (
 )
 from repro.net.routeless import ActiveNodeTable
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = ["GradientConfig", "GradientRouting"]
@@ -142,7 +143,7 @@ class GradientRouting(NetworkProtocol):
 
     # -------------------------------------------------------------- receive
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.origin == self.node_id:
             return
         self.table.update(packet.origin, packet.actual_hops + 1, self.now)
@@ -176,7 +177,7 @@ class GradientRouting(NetworkProtocol):
         delay = self._discovery_policy.delay(BackoffInput(rng=self._rng))
         self.schedule(delay, self.mac.send, packet.forwarded(self.node_id))
 
-    def _on_data(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_data(self, packet: Packet, rx: Reception) -> None:
         if packet.target == self.node_id:
             if self.dup_cache.record(packet):
                 if packet.kind == PacketKind.DATA:

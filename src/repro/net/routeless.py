@@ -44,7 +44,7 @@ from typing import Optional
 
 from repro.core.backoff import BackoffInput, HopCountBackoff, RandomBackoff
 from repro.core.timer import CandidateTimer
-from repro.mac.csma import CsmaMac, MacRxInfo
+from repro.mac.csma import CsmaMac
 from repro.net.base import NetworkProtocol
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
@@ -53,6 +53,7 @@ from repro.net.packet import (
     PacketKind,
 )
 from repro.obs.ledger import DropReason
+from repro.phy.radio import Reception
 from repro.sim.components import SimContext
 
 __all__ = ["ActiveNodeTable", "RoutelessConfig", "RoutelessRouting", "RelayPhase"]
@@ -268,7 +269,7 @@ class RoutelessRouting(NetworkProtocol):
 
     # -------------------------------------------------------------- receive
 
-    def on_mac_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def on_mac_packet(self, packet: Packet, rx: Reception) -> None:
         if packet.origin == self.node_id and packet.kind != PacketKind.NET_ACK:
             # Our own packet echoed back by a relay: handled by the relay
             # state machine below for arbitration, but never re-learned.
@@ -286,7 +287,7 @@ class RoutelessRouting(NetworkProtocol):
         elif packet.kind == PacketKind.NET_ACK:
             self._on_net_ack(packet)
 
-    def _on_own_echo(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_own_echo(self, packet: Packet, rx: Reception) -> None:
         """A copy of a packet we originated came back (a relay's broadcast)."""
         state = self._states.get(packet.uid)
         if state is not None and state.phase == RelayPhase.ARBITER:
@@ -297,7 +298,7 @@ class RoutelessRouting(NetworkProtocol):
 
     # ---- discovery flooding (counter-1 inside the protocol)
 
-    def _on_discovery(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_discovery(self, packet: Packet, rx: Reception) -> None:
         uid = packet.uid
         state = self._states.get(uid)
         if not self.dup_cache.record(packet):
@@ -350,7 +351,7 @@ class RoutelessRouting(NetworkProtocol):
 
     # ---- reply/data relay election
 
-    def _on_election_packet(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_election_packet(self, packet: Packet, rx: Reception) -> None:
         uid = packet.uid
         state = self._states.get(uid)
 
@@ -442,7 +443,7 @@ class RoutelessRouting(NetworkProtocol):
                 self._schedule_suppressed_ack(state, uid, packet.target)
         # DONE: nothing to do.
 
-    def _on_reached_target(self, packet: Packet, rx: MacRxInfo) -> None:
+    def _on_reached_target(self, packet: Packet, rx: Reception) -> None:
         uid = packet.uid
         first = self.dup_cache.record(packet)
         state = self._states.get(uid)

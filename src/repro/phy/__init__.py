@@ -11,7 +11,7 @@ from repro.phy.propagation import (
     TwoRayGround,
     range_to_threshold_dbm,
 )
-from repro.phy.radio import RadioConfig, RadioState, RxInfo, Transceiver
+from repro.phy.radio import RadioConfig, RadioState, Reception, Transceiver
 
 __all__ = [
     "Channel",
@@ -23,7 +23,7 @@ __all__ = [
     "RadioConfig",
     "RadioState",
     "RayleighFading",
-    "RxInfo",
+    "Reception",
     "SPEED_OF_LIGHT",
     "Transceiver",
     "TwoRayGround",

@@ -31,7 +31,6 @@ frame kind.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, OrderedDict
 from typing import TYPE_CHECKING, Any, Mapping
@@ -39,6 +38,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro.phy.propagation import SPEED_OF_LIGHT, PropagationModel
+from repro.phy.radio import Reception
 from repro.phy.spatial import UniformGrid
 from repro.sim.components import Component, SimContext
 
@@ -164,7 +164,6 @@ class Channel(Component):
         # Dense, id-indexed: transmit() does one list index per receiver
         # instead of a dict lookup + int() conversion.
         self._radios: list["Transceiver | None"] = [None] * self.n_nodes
-        self._token = itertools.count()
         self._fade_rng = ctx.streams.stream("channel.fading")
 
         #: Total frames put on the air (the paper's MAC packet count).
@@ -570,19 +569,19 @@ class Channel(Component):
             powers = None
 
         radios = self._radios
-        token_counter = self._token
         floor = self.reach_threshold_dbm
         items: list[tuple[float, Any, tuple]] = []
         append = items.append
+        # One record per receiver; both edge events share its args tuple.
         if powers is None:
             for j, power, delay in zip(receivers, self._reach_powers[src_id],
                                        self._reach_delays[src_id]):
                 radio = radios[j]
                 if radio is None:
                     continue
-                token = next(token_counter)
-                append((delay, radio.begin_receive, (token, frame, power)))
-                append((delay + duration, radio.end_receive, (token,)))
+                args = (Reception(frame, src_id, power),)
+                append((delay, radio.begin_receive, args))
+                append((delay + duration, radio.end_receive, args))
         else:
             for j, power, delay in zip(receivers, powers,
                                        self._reach_delays[src_id]):
@@ -591,8 +590,8 @@ class Channel(Component):
                 radio = radios[j]
                 if radio is None:
                     continue
-                token = next(token_counter)
-                append((delay, radio.begin_receive, (token, frame, power)))
-                append((delay + duration, radio.end_receive, (token,)))
+                args = (Reception(frame, src_id, power),)
+                append((delay, radio.begin_receive, args))
+                append((delay + duration, radio.end_receive, args))
         if items:
             self.ctx.simulator.schedule_many(items)

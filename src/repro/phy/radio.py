@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.obs.ledger import DropReason
 from repro.sim.components import Component, SimContext
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.phy.channel import Channel
     from repro.phy.energy import EnergyMeter
 
-__all__ = ["RadioState", "RxInfo", "RadioConfig", "Transceiver"]
+__all__ = ["RadioState", "Reception", "RadioConfig", "Transceiver"]
 
 
 class RadioState(enum.Enum):
@@ -50,19 +50,6 @@ _TX = RadioState.TX
 _RX = RadioState.RX
 _SLEEP = RadioState.SLEEP
 _OFF = RadioState.OFF
-
-
-@dataclass(slots=True)
-class RxInfo:
-    """Reception metadata delivered to the MAC alongside a decoded frame.
-
-    ``power_dbm`` is what SSAF's backoff policy consumes — the signal strength
-    of the received packet.
-    """
-
-    power_dbm: float
-    begin_time: float
-    end_time: float
 
 
 @dataclass(frozen=True)
@@ -88,14 +75,18 @@ class RadioConfig:
         return self.rx_threshold_dbm - self.cs_margin_db
 
 
-class _Reception:
-    __slots__ = ("frame", "power_dbm", "begin_time", "decodable", "corrupted")
+class Reception:
+    """One copy of one transmission at one receiver: the channel allocates
+    it, both edge events carry it, and an intact copy travels on unchanged
+    through the MAC to the network layer.  SSAF's backoff reads
+    ``power_dbm``; Routeless Routing learns hop counts from ``src``."""
 
-    def __init__(self, frame: "Frame", power_dbm: float, begin_time: float, decodable: bool):
+    __slots__ = ("frame", "src", "power_dbm", "corrupted")
+
+    def __init__(self, frame: "Frame", src: int, power_dbm: float):
         self.frame = frame
+        self.src = src
         self.power_dbm = power_dbm
-        self.begin_time = begin_time
-        self.decodable = decodable
         self.corrupted = False
 
 
@@ -121,8 +112,10 @@ class Transceiver(Component):
         self.sinr_model = config.sinr_model
 
         self.state = RadioState.IDLE
-        self._locked: int | None = None  # token of the frame being decoded
-        self._receptions: dict[int, _Reception] = {}
+        self._locked: Reception | None = None  # the frame being decoded
+        # Live receptions in arrival order (a dict is an ordered set): the
+        # SINR interference sum adds their powers in this order.
+        self._receptions: dict[Reception, bool] = {}
         self._sensed = 0  # number of ongoing above-CS-threshold receptions
         self._tx_end_handle = None
 
@@ -133,7 +126,7 @@ class Transceiver(Component):
         self.fault_corrupt_prob = 0.0
         self._fault_rng = None
 
-        #: Delivers ``(frame, RxInfo)`` for every intact decoded frame.
+        #: Delivers ``(frame, Reception)`` for every intact decoded frame.
         self.to_mac = self.outport("to_mac")
         #: Delivers ``busy: bool`` on medium busy/idle transitions.
         self.carrier = self.outport("carrier")
@@ -189,9 +182,7 @@ class Transceiver(Component):
         # Half-duplex: starting a transmission destroys any reception that
         # was being decoded.
         if self._locked is not None:
-            reception = self._receptions.get(self._locked)
-            if reception is not None:
-                reception.corrupted = True
+            self._locked.corrupted = True
             self._locked = None
         self._set_state(RadioState.TX)
         self._tx_end_handle = self.schedule(duration, self._finish_tx)
@@ -210,130 +201,122 @@ class Transceiver(Component):
 
     # --------------------------------------------------------------- receive
 
-    def begin_receive(self, token: int, frame: "Frame", power_dbm: float) -> None:
+    def begin_receive(self, rec: Reception) -> None:
         """Channel callback: a frame's leading edge reached this node."""
         state = self.state
         if state is _SLEEP or state is _OFF:
             return
-        decodable = power_dbm >= self.rx_threshold_dbm
-        reception = _Reception(frame, power_dbm, self.sim.now, decodable)
-        self._receptions[token] = reception
+        power_dbm = rec.power_dbm
+        self._receptions[rec] = True
 
         if power_dbm >= self.cs_threshold_dbm:
             self._sensed += 1
             if self._sensed == 1 and state is not _TX:
                 self.carrier.emit(True)
 
-        if not decodable:
+        if power_dbm < self.rx_threshold_dbm:  # sensed, not decodable
             if self.sinr_model:
                 self._check_locked_sinr()
             return
         if state is _TX:
-            reception.corrupted = True
+            rec.corrupted = True
             return
         if self.sinr_model:
-            self._begin_receive_sinr(token, reception)
+            self._begin_receive_sinr(rec)
             return
-        if self._locked is None:
-            self._locked = token
+        current = self._locked
+        if current is None:
+            self._locked = rec
             self._set_state(RadioState.RX)
-        else:
-            current = self._receptions.get(self._locked)
-            if current is not None:
-                margin = self.config.capture_margin_db
-                if margin is not None and current.power_dbm >= power_dbm + margin:
-                    # Strong ongoing frame captures the channel; the newcomer
-                    # is lost but the lock survives.
-                    reception.corrupted = True
-                    return
-                current.corrupted = True
-            reception.corrupted = True
+            return
+        margin = self.config.capture_margin_db
+        if margin is not None and current.power_dbm >= power_dbm + margin:
+            # Strong ongoing frame captures the channel; the newcomer is
+            # lost but the lock survives.
+            rec.corrupted = True
+            return
+        current.corrupted = True
+        rec.corrupted = True
 
     # -------------------------------------------------------- SINR variant
 
-    def _interference_mw(self, excluding: int | None) -> float:
+    def _interference_mw(self, excluding: Reception) -> float:
         """Summed linear power of every ongoing reception except one."""
         total = 0.0
-        for tok, reception in self._receptions.items():
-            if tok != excluding:
-                total += 10.0 ** (reception.power_dbm / 10.0)
+        for rec in self._receptions:
+            if rec is not excluding:
+                total += 10.0 ** (rec.power_dbm / 10.0)
         return total
 
-    def _sinr_db(self, token: int) -> float:
-        reception = self._receptions[token]
-        signal_mw = 10.0 ** (reception.power_dbm / 10.0)
+    def _sinr_db(self, rec: Reception) -> float:
+        signal_mw = 10.0 ** (rec.power_dbm / 10.0)
         noise_mw = 10.0 ** (self.config.noise_floor_dbm / 10.0)
-        return 10.0 * math.log10(signal_mw / (noise_mw + self._interference_mw(token)))
+        return 10.0 * math.log10(signal_mw / (noise_mw + self._interference_mw(rec)))
 
     def _check_locked_sinr(self) -> None:
         """Corrupt the locked frame if interference just drowned it."""
-        if self._locked is None:
-            return
-        current = self._receptions.get(self._locked)
+        current = self._locked
         if current is not None and not current.corrupted:
-            if self._sinr_db(self._locked) < self.config.sinr_threshold_db:
+            if self._sinr_db(current) < self.config.sinr_threshold_db:
                 current.corrupted = True
 
-    def _begin_receive_sinr(self, token: int, reception: "_Reception") -> None:
+    def _begin_receive_sinr(self, rec: Reception) -> None:
         if self._locked is None:
             # Lock on only if the frame clears the SINR bar right now.
-            if self._sinr_db(token) >= self.config.sinr_threshold_db:
-                self._locked = token
+            if self._sinr_db(rec) >= self.config.sinr_threshold_db:
+                self._locked = rec
                 self._set_state(RadioState.RX)
             else:
-                reception.corrupted = True
+                rec.corrupted = True
             return
         # A decodable newcomer: it is interference to the locked frame...
         self._check_locked_sinr()
-        current = self._receptions.get(self._locked)
-        if current is not None and current.corrupted:
+        if self._locked.corrupted:
             # ...and may capture the lock if it is strong enough itself.
-            if self._sinr_db(token) >= self.config.sinr_threshold_db:
-                self._locked = token
+            if self._sinr_db(rec) >= self.config.sinr_threshold_db:
+                self._locked = rec
                 return
-        reception.corrupted = True
+        rec.corrupted = True
 
-    def end_receive(self, token: int) -> None:
+    def end_receive(self, rec: Reception) -> None:
         """Channel callback: the frame's trailing edge passed this node."""
-        reception = self._receptions.pop(token, None)
-        if reception is None:
+        if not self._receptions.pop(rec, False):
             return  # radio was off when the frame arrived (or cycled off/on)
 
-        if reception.power_dbm >= self.cs_threshold_dbm:
+        if rec.power_dbm >= self.cs_threshold_dbm:
             self._sensed = max(0, self._sensed - 1)
             if self._sensed == 0 and self.state is not _TX:
                 self.carrier.emit(False)
 
-        if self._locked == token:
+        if self._locked is rec:
             self._locked = None
             if self.state is _RX:
                 self._set_state(RadioState.IDLE)
-            if (not reception.corrupted and self.fault_corrupt_prob > 0.0
+            if (not rec.corrupted and self.fault_corrupt_prob > 0.0
                     and float(self._fault_rng.random()) < self.fault_corrupt_prob):
                 # Injected PHY fault: the frame decoded fine, but random bit
                 # errors destroyed it.  Distinct from COLLISION so chaos
                 # reports attribute the loss to the fault plan.
                 if self.ctx.observing:
-                    payload = reception.frame.payload
+                    payload = rec.frame.payload
                     self.ctx.obs.on_drop(
                         self.now, self.node_id, "phy",
                         DropReason.FAULT_CORRUPTED,
                         payload.uid if payload is not None else None)
                 return
-            if not reception.corrupted:
-                info = RxInfo(reception.power_dbm, reception.begin_time, self.sim.now)
+            if not rec.corrupted:
                 if self.ctx.observing:
-                    payload = reception.frame.payload
+                    payload = rec.frame.payload
                     self.ctx.obs.on_rx(
                         self.now, self.node_id,
                         payload.uid if payload is not None else None,
-                        reception.power_dbm)
-                self.to_mac.emit(reception.frame, info)
+                        rec.power_dbm)
+                self.to_mac.emit(rec.frame, rec)
             else:
                 if self.ctx.observing:
                     # The frame this radio locked onto arrived corrupted:
                     # that copy died to a collision (or SINR drowning).
-                    payload = reception.frame.payload
+                    payload = rec.frame.payload
                     self.ctx.obs.on_drop(
                         self.now, self.node_id, "phy", DropReason.COLLISION,
                         payload.uid if payload is not None else None)

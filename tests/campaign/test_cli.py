@@ -96,11 +96,31 @@ def test_fig_command_rerun_resumes_from_cache(fake_spec, tmp_path,
     killed = dataclasses.replace(fake_spec,
                                  run_one=fakes.InterruptAfter(limit=3))
     monkeypatch.setattr(cli, "_campaign_spec", lambda name: killed)
-    with pytest.raises(KeyboardInterrupt):
-        cli.main(argv)
+    assert cli.main(argv) == 130
     monkeypatch.setattr(cli, "_campaign_spec", lambda name: fake_spec)
     assert cli.main(argv) == 0
     assert len(fakes.CALLS) == 1  # only the cell the kill left unsettled
+
+
+@pytest.mark.parametrize("cache", [True, False])
+def test_interrupted_sweep_says_whether_a_rerun_resumes(fake_spec, tmp_path,
+                                                        monkeypatch, capsys,
+                                                        cache):
+    cache_dir = str(tmp_path / "cache")
+    argv = ["fig1", "--cache-dir", cache_dir, "--quiet"]
+    if not cache:
+        argv.append("--no-cache")
+    killed = dataclasses.replace(fake_spec,
+                                 run_one=fakes.InterruptAfter(limit=1))
+    monkeypatch.setattr(cli, "_campaign_spec", lambda name: killed)
+    assert cli.main(argv) == 130
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if cache:
+        assert err == ("interrupted: re-run the same command to resume "
+                       f"from {cache_dir}\n")
+    else:
+        assert err == "interrupted: no cache was kept, so a re-run starts over\n"
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ class TestBroadcast:
         _, rx = got[0]
         assert rx.src == 0
         assert rx.power_dbm > -100
-        assert not rx.overheard
+        assert rx.frame.dst is None  # a broadcast, not an overheard unicast
 
     def test_broadcasts_have_no_mac_ack(self, ctx):
         channel, radios, macs = make_mac_stack(ctx, line_positions(2, spacing=100.0))
@@ -119,7 +119,7 @@ class TestUnicast:
         macs[0].send(data(target=1), dst=1)
         ctx.simulator.run()
         assert len(got2) == 1
-        assert got2[0][1].overheard
+        assert got2[0][1].frame.dst == 1  # overheard: addressed to node 1
 
 
 class TestCarrierDeferral:

@@ -61,11 +61,13 @@ class TestFreshness:
         route = protocol.routes[2]
         old_seq = route.seq
         # Inject a fresher but worse advertisement by hand.
-        from repro.mac.csma import MacRxInfo
+        from repro.mac.frame import Frame
         from repro.net.packet import Packet, PacketKind
+        from repro.phy.radio import Reception
         update = Packet(kind=PacketKind.ANNOUNCE, origin=1, seq=999,
                         payload={2: (old_seq + 2, 5)})
-        protocol._on_update(update, MacRxInfo(src=1, power_dbm=-50, time=0.0))
+        frame = Frame(src=1, dst=None, seq=0, payload=update, size_bytes=100)
+        protocol._on_update(update, Reception(frame, src=1, power_dbm=-50))
         assert protocol.routes[2].hops == 6
         assert protocol.routes[2].seq == old_seq + 2
 
@@ -74,11 +76,13 @@ class TestFreshness:
         settle(net)
         protocol = net.protocols[0]
         route = protocol.routes[2]
-        from repro.mac.csma import MacRxInfo
+        from repro.mac.frame import Frame
         from repro.net.packet import Packet, PacketKind
+        from repro.phy.radio import Reception
         worse = Packet(kind=PacketKind.ANNOUNCE, origin=1, seq=999,
                        payload={2: (route.seq, route.hops + 3)})
-        protocol._on_update(worse, MacRxInfo(src=1, power_dbm=-50, time=0.0))
+        frame = Frame(src=1, dst=None, seq=0, payload=worse, size_bytes=100)
+        protocol._on_update(worse, Reception(frame, src=1, power_dbm=-50))
         assert protocol.routes[2].hops == route.hops  # unchanged
 
 

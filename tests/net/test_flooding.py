@@ -20,6 +20,22 @@ def run_flood(protocol, n=5, spacing=200.0, src=0, dst=None, until=5.0,
     return net
 
 
+def drained_ssaf_run():
+    """30-node SSAF, 3 CBR flows stopping at 4 s, run to 6 s."""
+    from repro.experiments.common import (
+        ScenarioConfig, attach_cbr, build_protocol_network, pick_flows)
+    from repro.sim.rng import RandomStreams
+
+    scenario = ScenarioConfig(n_nodes=30, width_m=600, height_m=600,
+                              range_m=250, seed=1)
+    net = build_protocol_network("ssaf", scenario)
+    flows = pick_flows(30, 3, RandomStreams(1).stream("f"),
+                       distinct_endpoints=False)
+    attach_cbr(net, flows, interval_s=1.0, stop_s=4.0)
+    net.run(until=6.0)
+    return net
+
+
 class TestCounter1:
     def test_delivers_along_line(self, ctx):
         net = run_flood("counter1")
@@ -122,21 +138,19 @@ class TestSSAF:
         # A node that hears the winner's copy drops its candidacy for good;
         # keeping the suppressed timer (and its closure) would grow memory
         # with every packet of a long run.
-        from repro.experiments.common import (
-            ScenarioConfig, attach_cbr, build_protocol_network, pick_flows)
-        from repro.sim.rng import RandomStreams
-
-        scenario = ScenarioConfig(n_nodes=30, width_m=600, height_m=600,
-                                  range_m=250, seed=1)
-        net = build_protocol_network("ssaf", scenario)
-        flows = pick_flows(30, 3, RandomStreams(1).stream("f"),
-                           distinct_endpoints=False)
-        attach_cbr(net, flows, interval_s=1.0, stop_s=4.0)
-        net.run(until=6.0)
+        net = drained_ssaf_run()
         assert sum(p.suppressed for p in net.protocols) > 0
         held = [timer.state for p in net.protocols
                 for timer in p._timers.values()]
         assert CandidateState.SUPPRESSED not in held
+
+    def test_relays_are_released_once_on_the_air(self):
+        # A relay is kept only while the MAC may still withdraw it; once
+        # the run has drained, no node holds a forwarded packet.
+        net = drained_ssaf_run()
+        assert sum(p.rebroadcasts for p in net.protocols) > 0
+        assert not any(p.mac.busy for p in net.protocols)
+        assert [p._queued_fwd for p in net.protocols] == [{}] * 30
 
 
 class TestMetricsIntegration:

@@ -146,4 +146,6 @@ class TestWiredNetwork:
         assert phy_infos and mac_infos
         for record in phy_infos + mac_infos:
             assert not hasattr(record, "__dict__")
+        # One record from radio to network layer: the MAC passes it on.
+        assert [id(r) for r in mac_infos] == [id(r) for r in phy_infos]
 
