@@ -22,6 +22,7 @@ from repro.experiments.common import (
     build_protocol_network,
     pick_flows,
 )
+from repro.experiments import fig4_failures
 from repro.experiments.fig1_ssaf import Fig1Config, campaign_spec
 from repro.sim.rng import RandomStreams
 
@@ -46,6 +47,19 @@ SINR_GOLDEN = {
                       0.026276224872874135, 2.838926174496644, 5.003711999999914),
     ("ssaf", 1): (176491, 2165, 150, 150,
                   0.016028735286566682, 2.5866666666666664, 5.0574399999999065),
+}
+
+#: Figure 4 cells at 10 % failure (4 pairs, seed 1, default ``Fig4Config``):
+#: the duty-cycle outage processes draw from named per-node streams, so a
+#: change in how a failure reaches a cell must leave these metrics untouched.
+FIG4_GOLDEN = {
+    "aodv": dict(avg_delay_s=0.10207992099945988, avg_hops=3.2836879432624113,
+                 delivered=282, generated=296,
+                 delivery_ratio=0.9527027027027027, mac_packets=7188),
+    "routeless": dict(avg_delay_s=0.03735200825221562,
+                      avg_hops=3.006779661016949, delivered=295,
+                      generated=296, delivery_ratio=0.9966216216216216,
+                      mac_packets=3459),
 }
 
 INTERVAL_S = 1.0
@@ -91,6 +105,14 @@ def test_fig1_cell_matches_seed_implementation(protocol, seed):
 def test_fig1_sinr_cell_matches_recording(protocol, seed):
     assert_matches(run_cell(protocol, seed, sinr_model=True),
                    SINR_GOLDEN[(protocol, seed)])
+
+
+@pytest.mark.parametrize("protocol", sorted(FIG4_GOLDEN))
+def test_fig4_failure_cell_matches_recording(protocol):
+    result = fig4_failures.run_cell(protocol, 0.10, 1,
+                                    fig4_failures.Fig4Config())
+    for name, value in FIG4_GOLDEN[protocol].items():
+        assert result.metrics[name] == EXACT(value), name
 
 
 @pytest.mark.slow
