@@ -13,10 +13,10 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.core.backoff import RandomBackoff
 from repro.core.election import ElectionConfig, ElectionNode
+from repro.faults import DutyCycleFailure
 from repro.sim.components import SimContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import RandomStreams
-from repro.topology.failures import DutyCycleFailure
 from tests.conftest import line_positions, make_mac_stack
 
 ROUNDS = 40

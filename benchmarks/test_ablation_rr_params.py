@@ -21,9 +21,9 @@ from repro.experiments.common import (
     build_protocol_network,
     pick_flows,
 )
+from repro.faults import fig4_plan, install_plan
 from repro.net.routeless import RoutelessConfig
 from repro.sim.rng import RandomStreams
-from repro.topology.failures import apply_failures
 
 SEEDS = (1, 2)
 FAILURE = 0.15  # harsh enough that the fallback machinery matters
@@ -36,8 +36,7 @@ def run(config: RoutelessConfig, seed: int):
     flows = pick_flows(100, 3, RandomStreams(seed + 17).stream("rrp"),
                        bidirectional=True)
     endpoints = {node for flow in flows for node in flow}
-    apply_failures(net.ctx, net.radios, FAILURE, exempt=endpoints,
-                   mean_cycle_s=3.0)
+    install_plan(net, fig4_plan(FAILURE, mean_cycle_s=3.0), exempt=endpoints)
     attach_cbr(net, flows, interval_s=1.0, stop_s=25.0)
     net.run(until=30.0)
     return net.summary()

@@ -15,8 +15,8 @@ from repro.experiments.common import (
     build_protocol_network,
     pick_flows,
 )
+from repro.faults import fig4_plan, install_plan
 from repro.sim.rng import RandomStreams
-from repro.topology.failures import apply_failures
 
 PROTOCOLS = ("aodv", "dsr", "dsdv", "gradient", "routeless")
 SEEDS = (1, 2)
@@ -30,8 +30,8 @@ def run(protocol: str, seed: int, failure: float):
                        bidirectional=True)
     endpoints = {node for flow in flows for node in flow}
     if failure > 0:
-        apply_failures(net.ctx, net.radios, failure, exempt=endpoints,
-                       mean_cycle_s=3.0)
+        install_plan(net, fig4_plan(failure, mean_cycle_s=3.0),
+                     exempt=endpoints)
     attach_cbr(net, flows, interval_s=1.0, stop_s=25.0)
     net.run(until=30.0)
     return net.summary()

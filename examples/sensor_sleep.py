@@ -19,9 +19,9 @@ from repro.experiments.common import (
     build_protocol_network,
     pick_flows,
 )
+from repro.faults import DutyCycleOutage, FaultPlan, install_plan
 from repro.phy.radio import RadioState
 from repro.sim.rng import RandomStreams
-from repro.topology.failures import apply_failures
 
 DURATION_S = 30.0
 SLEEP_FRACTION = 0.3
@@ -35,8 +35,9 @@ def run(protocol: str, seed: int = 2):
                        bidirectional=True)
     endpoints = {node for flow in flows for node in flow}
     # Every non-endpoint node naps 30% of the time, in ~1-second bursts.
-    apply_failures(net.ctx, net.radios, SLEEP_FRACTION,
-                   exempt=endpoints, mean_cycle_s=3.0, sleep=True)
+    naps = DutyCycleOutage(off_fraction=SLEEP_FRACTION, mean_cycle_s=3.0,
+                           sleep=True)
+    install_plan(net, FaultPlan(faults=(naps,)), exempt=endpoints)
     attach_cbr(net, flows, interval_s=1.0, stop_s=DURATION_S - 4.0)
     net.run(until=DURATION_S)
 

@@ -167,7 +167,6 @@ from repro.topology import (
     RandomWaypoint,
     VirtualForceConfig,
     VirtualForceControl,
-    apply_failures,
     connected_uniform,
     grid,
     mobility_model,
@@ -233,7 +232,6 @@ __all__ = [
     "RandomWaypoint",
     "VirtualForceConfig",
     "VirtualForceControl",
-    "apply_failures",
     "connected_uniform",
     "grid",
     "mobility_model",

@@ -60,14 +60,10 @@ class Fig3Config:
 
 
 def run_one(protocol: str, n_pairs: int, seed: int, config: Fig3Config,
-            failure_fraction: float = 0.0, failure_cycle_s: float = 4.0,
             obs=None, faults=None) -> ExperimentResult:
-    """One sweep cell.  ``failure_fraction`` > 0 turns this into a Figure 4
-    cell (same harness, different swept variable); ``faults`` installs an
-    arbitrary :class:`~repro.faults.plan.FaultPlan` with the CBR endpoints
-    exempt."""
-    from repro.topology.failures import apply_failures
-
+    """One sweep cell.  ``faults`` installs a
+    :class:`~repro.faults.plan.FaultPlan` with the CBR endpoints exempt;
+    ``fig4_plan(f)`` turns this into a Figure 4 cell."""
     started = time.perf_counter()
     scenario = ScenarioConfig(
         n_nodes=config.n_nodes,
@@ -85,9 +81,6 @@ def run_one(protocol: str, n_pairs: int, seed: int, config: Fig3Config,
         distinct_endpoints=True,
     )
     endpoints = {node for flow in flows for node in flow}
-    if failure_fraction > 0.0:
-        apply_failures(net.ctx, net.radios, failure_fraction,
-                       exempt=endpoints, mean_cycle_s=failure_cycle_s)
     if faults is not None:
         from repro.faults import install_plan
         install_plan(net, faults, exempt=endpoints)

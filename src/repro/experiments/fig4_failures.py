@@ -57,9 +57,8 @@ def run_cell(protocol: str, fraction: float, seed: int, config: Fig4Config,
     the swept x here is the failure fraction, not the pair count — so the
     figure fits the campaign/parallel grid runners.
 
-    The failure workload is expressed as a :func:`~repro.faults.plan.fig4_plan`
-    FaultPlan, which replays the legacy ``apply_failures`` renewal processes
-    bit-identically (same named RNG streams).  Extra ``faults`` merge in.
+    The failure workload is a :func:`~repro.faults.plan.fig4_plan` FaultPlan;
+    extra ``faults`` merge in.
     """
     plan = fig4_plan(fraction, config.failure_cycle_s) if fraction > 0.0 else None
     if faults is not None:

@@ -20,7 +20,7 @@ for the taxonomy, the plan schema and the replay guarantees.
     faults.check_invariants(obs, raise_on_violation=True)
 """
 
-from repro.faults.injector import FaultController, install_plan
+from repro.faults.injector import DutyCycleFailure, FaultController, install_plan
 from repro.faults.invariants import (
     InvariantViolation,
     Violation,
@@ -54,6 +54,7 @@ __all__ = [
     "FaultPlan",
     "fig4_plan",
     "mixed_chaos_plan",
+    "DutyCycleFailure",
     "FaultController",
     "install_plan",
     "Violation",

@@ -9,10 +9,9 @@ faults are listed.
 
 Determinism notes worth keeping in mind when adding fault kinds:
 
-* Duty-cycle outages delegate to
-  :func:`repro.topology.failures.apply_failures` with the *same component
-  names* the legacy Figure 4 path used (``failure[{node}]``), so
-  ``fig4_plan(f)`` reproduces the legacy results to the last bit.
+* Duty-cycle outages run one :class:`DutyCycleFailure` per covered radio,
+  built in radio order and named ``failure[{node}]``, so each node's
+  renewal process draws from its own named stream.
 * Per-node streams (``faults.corrupt[{n}]``, ``faults.skew[{n}]``) mean the
   set of *other* affected nodes never shifts a node's own draws.
 * Link faults mutate a shared sparse ``{(src, dst): dB}`` offset map;
@@ -41,8 +40,10 @@ from repro.faults.plan import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.common import Network
+    from repro.phy.radio import Transceiver
 
-__all__ = ["FaultController", "install_plan", "PARTITION_LOSS_DB"]
+__all__ = ["DutyCycleFailure", "FaultController", "install_plan",
+           "PARTITION_LOSS_DB"]
 
 #: Pathloss injected across partition boundaries — far beyond any link
 #: margin in these scenarios, so cross-group links are dead while active.
@@ -53,9 +54,61 @@ PARTITION_LOSS_DB = 1000.0
 RADIO_POWER_KINDS = ("duty_cycle", "node_crash", "energy_depletion")
 
 
+class DutyCycleFailure(Component):
+    """Drives one transceiver's on/off renewal process (Figure 4's failure).
+
+    The paper: "a node failure of 10% means that randomly selected 10% of
+    the time the transceiver of a node is turned off and not able to
+    transmit or receive any packets."  ON and OFF periods are exponential,
+    scaled so the long-run OFF fraction is ``off_fraction``; with the
+    default 4 s cycle and 10 % failure a node drops out for ~0.4 s at a
+    time, long enough to break an AODV route.  ``sleep=True`` models
+    voluntary low-power naps instead: the same radio silence, a tiny
+    residual draw on the energy meter.
+    """
+
+    def __init__(self, ctx: SimContext, radio: "Transceiver",
+                 off_fraction: float, mean_cycle_s: float = 4.0,
+                 sleep: bool = False):
+        super().__init__(ctx, f"failure[{radio.node_id}]")
+        if not 0.0 <= off_fraction < 1.0:
+            raise ValueError("off_fraction must be in [0, 1)")
+        if mean_cycle_s <= 0:
+            raise ValueError("mean_cycle_s must be positive")
+        self.radio = radio
+        self.sleep = sleep
+        self.off_fraction = off_fraction
+        self.mean_on_s = (1.0 - off_fraction) * mean_cycle_s
+        self.mean_off_s = off_fraction * mean_cycle_s
+        self._rng = self.rng()
+        self.outages = 0
+        self.time_off = 0.0
+        if off_fraction > 0.0:
+            # Start each node at a random phase of its cycle.
+            first_on = float(self._rng.exponential(self.mean_on_s))
+            self.schedule(first_on, self._go_off)
+
+    def _go_off(self) -> None:
+        off_for = float(self._rng.exponential(self.mean_off_s))
+        self.outages += 1
+        self.time_off += off_for
+        self.radio.set_power(False, sleep=self.sleep)
+        if self.ctx.observing:
+            self.ctx.obs.on_fault(self.now, self.radio.node_id,
+                                  "duty_cycle", "off", off_for_s=off_for)
+        self.schedule(off_for, self._go_on)
+
+    def _go_on(self) -> None:
+        self.radio.set_power(True)
+        if self.ctx.observing:
+            self.ctx.obs.on_fault(self.now, self.radio.node_id,
+                                  "duty_cycle", "on")
+        self.schedule(float(self._rng.exponential(self.mean_on_s)), self._go_off)
+
+
 class FaultController(Component):
     """One network's installed fault plan: schedules every transition and
-    owns the shared per-link offset matrix."""
+    owns the shared per-link offset map."""
 
     def __init__(self, ctx: SimContext, net: "Network", plan: FaultPlan,
                  exempt: Iterable[int] = ()):
@@ -65,9 +118,8 @@ class FaultController(Component):
         self.exempt = frozenset(int(n) for n in exempt)
         self.n_nodes = len(net.radios)
 
-        #: Duty-cycle processes created by the plan (mirrors the legacy
-        #: ``apply_failures`` return value, for tests and reports).
-        self.duty_cycles: list = []
+        #: Duty-cycle processes created by the plan, for tests and reports.
+        self.duty_cycles: list[DutyCycleFailure] = []
         #: node id -> drawn clock-rate factor (clock_skew faults).
         self.skew_factors: dict[int, float] = {}
         #: node ids shut down for good by energy depletion.
@@ -159,19 +211,11 @@ class FaultController(Component):
     # ------------------------------------------------------------ duty cycle
 
     def _install_duty_cycle(self, spec: DutyCycleOutage) -> None:
-        from repro.topology.failures import apply_failures
-
-        radios = self.net.radios
-        if spec.nodes is not None:
-            chosen = set(self._selected(spec,
-                                        honour_exempt=spec.exempt_endpoints))
-            radios = [r for r in radios if r.node_id in chosen]
-            exempt: Sequence[int] = ()
-        else:
-            exempt = sorted(self.exempt) if spec.exempt_endpoints else ()
-        self.duty_cycles.extend(apply_failures(
-            self.ctx, radios, spec.off_fraction,
-            exempt=exempt, mean_cycle_s=spec.mean_cycle_s, sleep=spec.sleep))
+        chosen = set(self._selected(spec, honour_exempt=spec.exempt_endpoints))
+        self.duty_cycles.extend(
+            DutyCycleFailure(self.ctx, radio, spec.off_fraction,
+                             spec.mean_cycle_s, sleep=spec.sleep)
+            for radio in self.net.radios if radio.node_id in chosen)
 
     # ----------------------------------------------------------- link faults
 

@@ -10,7 +10,7 @@ correctness").  The checker inspects one run's
 * **no-dead-radio-traffic** — no packet event (RX, DELIVER, TX) is
   witnessed by a node strictly inside one of its radio-OFF windows.  The
   windows are reconstructed from the fault entries the injector and
-  :class:`~repro.topology.failures.DutyCycleFailure` emit, so this check
+  :class:`~repro.faults.injector.DutyCycleFailure` emit, so this check
   cross-validates the PHY power gating against the fault schedule.
 * **ledger-conservation** — every originated packet is accounted for:
   originated = delivered + dropped + in-flight, as a *partition* of uids,

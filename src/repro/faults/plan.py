@@ -1,7 +1,7 @@
 """Declarative, seed-reproducible fault plans.
 
 The paper's Figure 4 stresses the protocols with exactly one failure shape:
-duty-cycled transceiver outages (:class:`~repro.topology.failures
+duty-cycled transceiver outages (:class:`~repro.faults.injector
 .DutyCycleFailure`).  The related leader-election literature (Czumaj &
 Davies; Ghaffari et al.) analyses a much richer adversary — crashed
 participants, missed wake slots, asymmetric links, partitions — and the
@@ -156,7 +156,7 @@ class NodeCrash(FaultSpec):
 class DutyCycleOutage(FaultSpec):
     """Figure 4's failure shape: an alternating ON/OFF renewal process per
     node with exponential period lengths, long-run OFF fraction
-    ``off_fraction`` (see :class:`repro.topology.failures.DutyCycleFailure`).
+    ``off_fraction`` (see :class:`repro.faults.injector.DutyCycleFailure`).
     """
 
     off_fraction: float = 0.1
@@ -350,9 +350,7 @@ class FaultPlan:
 def fig4_plan(off_fraction: float, mean_cycle_s: float = 4.0,
               sleep: bool = False) -> FaultPlan:
     """The paper's Figure 4 workload as a plan: duty-cycled outages on every
-    node except the CBR endpoints.  Byte-for-byte the same renewal processes
-    as the legacy ``apply_failures`` path (same named RNG streams), so
-    results match bit-identically."""
+    node except the CBR endpoints."""
     return FaultPlan(name=f"fig4-{off_fraction:g}", faults=(
         DutyCycleOutage(off_fraction=off_fraction, mean_cycle_s=mean_cycle_s,
                         sleep=sleep),

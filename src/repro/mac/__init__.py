@@ -2,15 +2,14 @@
 
 from repro.mac.csma import CsmaMac, MacConfig
 from repro.mac.frame import MAC_ACK_SIZE, MAC_HEADER_SIZE, Frame
-from repro.mac.queue import FifoTxQueue, PriorityTxQueue, TxJob
+from repro.mac.queue import TxJob, TxQueue
 
 __all__ = [
     "CsmaMac",
-    "FifoTxQueue",
     "Frame",
     "MAC_ACK_SIZE",
     "MAC_HEADER_SIZE",
     "MacConfig",
-    "PriorityTxQueue",
     "TxJob",
+    "TxQueue",
 ]

@@ -18,8 +18,8 @@ modes:
   parties — including *hidden* ones that can hear the receiver but not the
   sender — for the duration of the exchange.
 
-The queue feeding the MAC is pluggable (FIFO or priority — see
-:mod:`repro.mac.queue`).
+The queue feeding the MAC is FIFO or priority-ordered
+(``MacConfig.priority_queue``; see :mod:`repro.mac.queue`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.mac.frame import (
     MAC_RTS_SIZE,
     Frame,
 )
-from repro.mac.queue import FifoTxQueue, PriorityTxQueue, TxJob
+from repro.mac.queue import TxJob, TxQueue
 from repro.obs.ledger import DropReason
 from repro.sim.components import Component, SimContext
 
@@ -87,8 +87,8 @@ class CsmaMac(Component):
         self.radio = radio
         self.config = config if config is not None else MacConfig()
 
-        queue_cls = PriorityTxQueue if self.config.priority_queue else FifoTxQueue
-        self.queue = queue_cls(self.config.queue_capacity)
+        self.queue = TxQueue(self.config.queue_capacity,
+                             prioritized=self.config.priority_queue)
 
         #: Local-oscillator rate factor for node-local timers (contention
         #: backoffs): 1.02 = a 2 % slow clock.  Driven by the clock-skew

@@ -1,53 +1,25 @@
-"""Transmit queues between the network layer and the MAC.
+"""The transmit queue between the network layer and the MAC.
 
 The paper attributes part of SSAF's delay advantage under load to a
 *priority* queue here: packets whose election backoff was short (i.e. packets
 this node is well placed to forward) overtake queued packets with long
 backoffs, "so the prioritization takes effect not only among packets in
 different nodes, but also among packets in the same node."  Counter-1
-flooding's random backoffs gain nothing from the same queue — which is why
-both disciplines are provided and the ablation bench swaps them.
+flooding's random backoffs gain nothing from the ordering — which is why it
+is a MAC option (``MacConfig.priority_queue``) and the ablation bench swaps
+it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.obs.ledger import DropReason
 
-__all__ = ["TxJob", "FifoTxQueue", "PriorityTxQueue"]
-
-
-class _DropAccounting:
-    """Per-reason drop tallies shared by both queue disciplines.
-
-    ``dropped`` (the historical aggregate counter) is now a property over
-    the typed breakdown, so the MAC and the net layers account drops in
-    the same :class:`~repro.obs.ledger.DropReason` taxonomy.
-    """
-
-    def __init__(self) -> None:
-        self.drops_by_reason: dict[DropReason, int] = {}
-
-    def _count_drop(self, reason: DropReason) -> None:
-        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
-
-    @property
-    def dropped(self) -> int:
-        """Total drops, every reason combined (back-compat aggregate)."""
-        return sum(self.drops_by_reason.values())
-
-    @property
-    def dropped_overflow(self) -> int:
-        return self.drops_by_reason.get(DropReason.QUEUE_OVERFLOW, 0)
-
-    @property
-    def dropped_other(self) -> int:
-        return self.dropped - self.dropped_overflow
+__all__ = ["TxJob", "TxQueue"]
 
 
 @dataclass
@@ -65,26 +37,35 @@ class TxJob:
     cancelled: bool = False
 
 
-class FifoTxQueue(_DropAccounting):
-    """Drop-tail FIFO queue."""
+class TxQueue:
+    """Drop-tail transmit queue.
 
-    def __init__(self, capacity: int = 64):
-        super().__init__()
+    With ``prioritized`` set, lower ``priority`` values leave first;
+    otherwise every job sorts on the same key and the queue is FIFO.  Ties
+    always break in insertion order.  Drops are tallied per
+    :class:`~repro.obs.ledger.DropReason`, the taxonomy the net layers use.
+    """
+
+    def __init__(self, capacity: int = 64, prioritized: bool = False):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: deque[TxJob] = deque()
+        self.prioritized = prioritized
+        self.drops_by_reason: dict[DropReason, int] = {}
+        self._heap: list[tuple[float, int, TxJob]] = []
+        self._counter = itertools.count()
 
     def push(self, job: TxJob) -> bool:
-        if len(self._items) >= self.capacity:
+        if len(self._heap) >= self.capacity:
             self._count_drop(DropReason.QUEUE_OVERFLOW)
             return False
-        self._items.append(job)
+        key = job.priority if self.prioritized else 0.0
+        heapq.heappush(self._heap, (key, next(self._counter), job))
         return True
 
     def pop(self) -> TxJob | None:
-        while self._items:
-            job = self._items.popleft()
+        while self._heap:
+            job = heapq.heappop(self._heap)[2]
             if not job.cancelled:
                 return job
         return None
@@ -101,69 +82,36 @@ class FifoTxQueue(_DropAccounting):
             purged.append(job)
 
     def cancel(self, packet: Any) -> bool:
-        """Withdraw the queued job carrying ``packet`` (identity match)."""
-        for job in self._items:
-            if job.packet is packet and not job.cancelled:
-                job.cancelled = True
-                return True
-        return False
-
-    def __len__(self) -> int:
-        return sum(1 for job in self._items if not job.cancelled)
-
-    def __bool__(self) -> bool:
-        return any(not job.cancelled for job in self._items)
-
-
-class PriorityTxQueue(_DropAccounting):
-    """Drop-tail priority queue; lower ``priority`` values leave first.
-
-    Ties break in insertion order so the queue degrades to FIFO when every
-    packet carries the same priority.
-    """
-
-    def __init__(self, capacity: int = 64):
-        super().__init__()
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._heap: list[tuple[float, int, TxJob]] = []
-        self._counter = itertools.count()
-
-    def push(self, job: TxJob) -> bool:
-        if len(self._heap) >= self.capacity:
-            self._count_drop(DropReason.QUEUE_OVERFLOW)
+        """Withdraw the earliest-queued live job carrying ``packet``
+        (identity match)."""
+        entry = min((entry for entry in self._heap
+                     if entry[2].packet is packet and not entry[2].cancelled),
+                    key=lambda entry: entry[1], default=None)
+        if entry is None:
             return False
-        heapq.heappush(self._heap, (job.priority, next(self._counter), job))
+        entry[2].cancelled = True
         return True
-
-    def pop(self) -> TxJob | None:
-        while self._heap:
-            job = heapq.heappop(self._heap)[2]
-            if not job.cancelled:
-                return job
-        return None
-
-    def purge(self, reason: DropReason) -> list[TxJob]:
-        """Drain every live job, counting each as a drop of ``reason``."""
-        purged = []
-        while True:
-            job = self.pop()
-            if job is None:
-                return purged
-            self._count_drop(reason)
-            purged.append(job)
-
-    def cancel(self, packet: Any) -> bool:
-        """Withdraw the queued job carrying ``packet`` (identity match)."""
-        for _, _, job in self._heap:
-            if job.packet is packet and not job.cancelled:
-                job.cancelled = True
-                return True
-        return False
 
     def __len__(self) -> int:
         return sum(1 for _, _, job in self._heap if not job.cancelled)
 
     def __bool__(self) -> bool:
         return any(not job.cancelled for _, _, job in self._heap)
+
+    # ------------------------------------------------------------- drop tally
+
+    def _count_drop(self, reason: DropReason) -> None:
+        self.drops_by_reason[reason] = self.drops_by_reason.get(reason, 0) + 1
+
+    @property
+    def dropped(self) -> int:
+        """Total drops, every reason combined."""
+        return sum(self.drops_by_reason.values())
+
+    @property
+    def dropped_overflow(self) -> int:
+        return self.drops_by_reason.get(DropReason.QUEUE_OVERFLOW, 0)
+
+    @property
+    def dropped_other(self) -> int:
+        return self.dropped - self.dropped_overflow

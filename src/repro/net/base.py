@@ -24,16 +24,10 @@ __all__ = ["NetworkProtocol", "DuplicateCache"]
 
 
 class DuplicateCache:
-    """Remembers packet uids this node has seen.
+    """Remembers every packet uid this node has seen."""
 
-    Unbounded by default; a capacity turns it into a FIFO-evicting cache
-    (enough history to cover any plausible in-flight window, bounded memory
-    for long runs).
-    """
-
-    def __init__(self, capacity: int | None = None):
-        self._seen: dict[tuple, None] = {}
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self._seen: set[tuple] = set()
 
     def seen(self, packet: Packet) -> bool:
         return packet.uid in self._seen
@@ -42,9 +36,7 @@ class DuplicateCache:
         """Record the uid; returns True when it was new."""
         if packet.uid in self._seen:
             return False
-        self._seen[packet.uid] = None
-        if self.capacity is not None and len(self._seen) > self.capacity:
-            self._seen.pop(next(iter(self._seen)))
+        self._seen.add(packet.uid)
         return True
 
     def __len__(self) -> int:

@@ -241,19 +241,18 @@ class Channel(Component):
         self._after_rebuild()
 
     def set_link_offsets(
-        self,
-        offsets_db: "np.ndarray | Mapping[tuple[int, int], float] | None",
+        self, offsets_db: "Mapping[tuple[int, int], float] | None",
     ) -> None:
         """Install (or clear, with ``None``) per-link pathloss offsets and
         patch the link budget.
 
-        Fault-injection entry point.  Accepts a full N×N matrix or a sparse
-        ``{(i, j): db}`` mapping.  Positions are unchanged by definition, so
-        only the rows of sources that carry an offset before or after this
-        call are rebuilt.  Frames already in flight keep the power they
-        were launched with.
+        Fault-injection entry point, taking a sparse ``{(i, j): db}``
+        mapping.  Positions are unchanged by definition, so only the rows
+        of sources that carry an offset before or after this call are
+        rebuilt.  Frames already in flight keep the power they were
+        launched with.
         """
-        pairs = self._normalize_offsets(offsets_db)
+        pairs = self._validate_offsets(offsets_db or {})
         changed = {i for i, _ in self._offset_pairs} | {i for i, _ in pairs}
         self._store_offsets(pairs)
         if changed:
@@ -261,20 +260,12 @@ class Channel(Component):
                 np.fromiter(changed, dtype=np.int64, count=len(changed)))
         self._after_rebuild()
 
-    def _normalize_offsets(self, offsets_db) -> dict[tuple[int, int], float]:
-        """Validate either offset form into a ``{(i, j): db}`` dict."""
-        if offsets_db is None:
-            return {}
-        if isinstance(offsets_db, np.ndarray):
-            if offsets_db.shape != (self.n_nodes, self.n_nodes):
-                raise ValueError(
-                    f"offsets must be ({self.n_nodes}, {self.n_nodes}), "
-                    f"got {offsets_db.shape}")
-            rows, cols = np.nonzero(offsets_db)
-            offsets_db = {(i, j): offsets_db[i, j]
-                          for i, j in zip(rows.tolist(), cols.tolist())}
+    def _validate_offsets(
+        self, offsets_db: "Mapping[tuple[int, int], float]",
+    ) -> dict[tuple[int, int], float]:
+        """Check an offset mapping and drop its zero entries."""
         pairs: dict[tuple[int, int], float] = {}
-        for (i, j), db in dict(offsets_db).items():
+        for (i, j), db in offsets_db.items():
             i, j, db = int(i), int(j), float(db)
             if not (0 <= i < self.n_nodes and 0 <= j < self.n_nodes):
                 raise ValueError(

@@ -1,7 +1,6 @@
-"""Topology: arenas, node placement, mobility, and failure processes."""
+"""Topology: arenas, node placement and mobility."""
 
 from repro.topology.arena import Arena, as_arena
-from repro.topology.failures import DutyCycleFailure, apply_failures
 from repro.topology.mobility import (
     GaussMarkov3D,
     GaussMarkovConfig,
@@ -24,7 +23,6 @@ from repro.topology.vforce import VirtualForceConfig, VirtualForceControl
 
 __all__ = [
     "Arena",
-    "DutyCycleFailure",
     "GaussMarkov3D",
     "GaussMarkovConfig",
     "MobilityConfig",
@@ -33,7 +31,6 @@ __all__ = [
     "VirtualForceConfig",
     "VirtualForceControl",
     "adjacency",
-    "apply_failures",
     "as_arena",
     "connected_uniform",
     "grid",

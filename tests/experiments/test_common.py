@@ -14,7 +14,6 @@ from repro.experiments.common import (
     pick_flows,
 )
 from repro.mac.csma import MacConfig
-from repro.mac.queue import FifoTxQueue, PriorityTxQueue
 from repro.net.flooding import SSAF
 from repro.sim.rng import RandomStreams
 
@@ -57,14 +56,14 @@ class TestBuildNetwork:
     def test_ssaf_gets_priority_queue_and_threshold(self):
         scenario = ScenarioConfig(n_nodes=5, width_m=300, height_m=300, seed=1)
         net = build_protocol_network("ssaf", scenario)
-        assert isinstance(net.macs[0].queue, PriorityTxQueue)
+        assert net.macs[0].queue.prioritized
         assert isinstance(net.protocols[0], SSAF)
         policy = net.protocols[0].config.policy
         assert policy.rx_threshold_dbm == pytest.approx(net.rx_threshold_dbm)
 
     def test_other_protocols_get_fifo(self):
         net = build_protocol_network("routeless", ScenarioConfig(n_nodes=5, width_m=300, height_m=300, seed=1))
-        assert isinstance(net.macs[0].queue, FifoTxQueue)
+        assert not net.macs[0].queue.prioritized
 
     def test_every_registered_protocol_builds(self):
         for protocol in PROTOCOLS:

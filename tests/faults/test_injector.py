@@ -21,7 +21,6 @@ from repro.faults import (
 )
 from repro.obs.ledger import DropReason
 from repro.obs.observe import Observability
-from repro.topology.failures import apply_failures
 
 #: A 4-node chain with only adjacent links in range (range 250 m).
 CHAIN = np.array([[0.0, 0.0], [150.0, 0.0], [300.0, 0.0], [450.0, 0.0]])
@@ -126,11 +125,6 @@ class TestLinkFaults:
         assert run((0, 1)) == 0   # degraded direction severed
         assert run((1, 0)) > 0    # reverse direction untouched
 
-    def test_channel_rejects_bad_offset_shape(self):
-        net = chain_net()
-        with pytest.raises(ValueError):
-            net.channel.set_link_offsets(np.zeros((2, 2)))
-
 
 class TestClockSkew:
     def test_skew_draws_and_applies_factors(self):
@@ -190,14 +184,15 @@ class TestValidationAndWiring:
         net = chain_net()
         controller = install_plan(net, FaultPlan(faults=(
             DutyCycleOutage(off_fraction=0.2),)), exempt={0, 3})
-        assert len(controller.duty_cycles) == 2  # nodes 1 and 2
+        assert [p.radio.node_id for p in controller.duty_cycles] == [1, 2]
+        assert [p.name for p in controller.duty_cycles] == \
+            ["failure[1]", "failure[2]"]
 
-    def test_apply_failures_rejects_duplicate_radios(self):
+    def test_duty_cycle_spares_exempt_endpoints(self):
         net = chain_net()
-        with pytest.raises(ValueError, match="duplicate"):
-            apply_failures(net.ctx, list(net.radios) + [net.radios[1]], 0.1)
-
-    def test_apply_failures_rejects_unknown_exempt(self):
-        net = chain_net()
-        with pytest.raises(ValueError, match="no supplied radio"):
-            apply_failures(net.ctx, net.radios, 0.1, exempt={42})
+        controller = install_plan(net, FaultPlan(faults=(
+            DutyCycleOutage(off_fraction=0.5, mean_cycle_s=0.5),)),
+            exempt={0, 3})
+        net.run(until=50.0)
+        assert all(p.outages > 0 for p in controller.duty_cycles)
+        assert net.radios[0].is_on and net.radios[3].is_on

@@ -16,6 +16,7 @@ from repro.experiments.common import (
     attach_cbr,
     build_protocol_network,
 )
+from repro.faults import fig4_plan, install_plan
 from repro.topology.arena import Arena
 from repro.topology.placement import connected_uniform
 
@@ -82,15 +83,12 @@ def test_universal_invariants(protocol, n_nodes, seed, n_flows):
           suppress_health_check=[HealthCheck.too_slow])
 def test_failure_does_not_break_invariants(protocol, seed):
     """Random transceiver failures must degrade service, never corrupt it."""
-    from repro.topology.failures import apply_failures
-
     rng = np.random.default_rng(seed)
     positions = connected_uniform(12, Arena(600.0, 600.0), 250.0, rng)
     scenario = ScenarioConfig(n_nodes=12, positions=positions, seed=seed)
     net = build_protocol_network(protocol, scenario)
     src, dst = (int(v) for v in rng.choice(12, size=2, replace=False))
-    apply_failures(net.ctx, net.radios, 0.2, exempt={src, dst},
-                   mean_cycle_s=1.0)
+    install_plan(net, fig4_plan(0.2, mean_cycle_s=1.0), exempt={src, dst})
     attach_cbr(net, [(src, dst)], interval_s=0.5, stop_s=5.0)
     net.run(until=8.0)
 

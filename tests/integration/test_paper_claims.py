@@ -13,6 +13,7 @@ from repro.experiments.common import (
     pick_flows,
 )
 from repro.experiments.fig3_rr_vs_aodv import Fig3Config, run_one
+from repro.experiments.fig4_failures import Fig4Config, run_cell
 from repro.sim.rng import RandomStreams
 
 
@@ -54,9 +55,8 @@ class TestFigure3Claims:
 
     CONFIG = Fig3Config(n_nodes=120, terrain_m=1000.0, duration_s=20.0)
 
-    def _avg(self, protocol, metric, failure=0.0, seeds=(1, 2)):
-        values = [run_one(protocol, 3, s, self.CONFIG,
-                          failure_fraction=failure).metrics[metric]
+    def _avg(self, protocol, metric, seeds=(1, 2)):
+        values = [run_one(protocol, 3, s, self.CONFIG).metrics[metric]
                   for s in seeds]
         return sum(values) / len(values)
 
@@ -78,10 +78,12 @@ class TestFigure3Claims:
 class TestFigure4Claims:
     """Routeless Routing vs AODV with transceiver failures."""
 
-    CONFIG = Fig3Config(n_nodes=120, terrain_m=1000.0, duration_s=30.0)
+    CONFIG = Fig4Config(
+        base=Fig3Config(n_nodes=120, terrain_m=1000.0, duration_s=30.0),
+        n_pairs=3)
 
     def _run(self, protocol, failure, seeds=(1, 2)):
-        summaries = [run_one(protocol, 3, s, self.CONFIG, failure_fraction=failure)
+        summaries = [run_cell(protocol, failure, s, self.CONFIG)
                      for s in seeds]
         mean = lambda metric: sum(x.metrics[metric] for x in summaries) / len(summaries)
         return mean

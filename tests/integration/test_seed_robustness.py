@@ -46,10 +46,12 @@ def test_ssaf_hop_advantage_across_seeds():
 
 
 def routing_cell(protocol, seed, failure):
-    from repro.experiments.fig3_rr_vs_aodv import Fig3Config, run_one
-    config = Fig3Config(n_nodes=100, terrain_m=900.0, duration_s=20.0)
-    return run_one(protocol, 3, seed, config,
-                   failure_fraction=failure).to_summary()
+    from repro.experiments.fig3_rr_vs_aodv import Fig3Config
+    from repro.experiments.fig4_failures import Fig4Config, run_cell
+    config = Fig4Config(
+        base=Fig3Config(n_nodes=100, terrain_m=900.0, duration_s=20.0),
+        n_pairs=3)
+    return run_cell(protocol, failure, seed, config).to_summary()
 
 
 @pytest.mark.slow

@@ -1,10 +1,10 @@
-"""Tests for the net→MAC transmit queues."""
+"""Tests for the net→MAC transmit queue, in both disciplines."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mac.queue import FifoTxQueue, PriorityTxQueue, TxJob
+from repro.mac.queue import TxJob, TxQueue
 
 
 def job(tag, priority=0.0):
@@ -13,16 +13,16 @@ def job(tag, priority=0.0):
 
 class TestFifo:
     def test_fifo_order(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         for i in range(5):
             q.push(job(i))
         assert [q.pop().packet for _ in range(5)] == list(range(5))
 
     def test_empty_pop_returns_none(self):
-        assert FifoTxQueue().pop() is None
+        assert TxQueue().pop() is None
 
     def test_capacity_drop_tail(self):
-        q = FifoTxQueue(capacity=2)
+        q = TxQueue(capacity=2)
         assert q.push(job(0)) and q.push(job(1))
         assert not q.push(job(2))
         assert q.dropped == 1
@@ -30,10 +30,10 @@ class TestFifo:
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
-            FifoTxQueue(capacity=0)
+            TxQueue(capacity=0)
 
     def test_cancel_removes_job(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         packets = [object(), object()]
         q.push(job(packets[0]))
         q.push(job(packets[1]))
@@ -42,18 +42,35 @@ class TestFifo:
         assert q.pop().packet is packets[1]
 
     def test_cancel_missing_returns_false(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         assert not q.cancel(object())
 
     def test_cancel_is_identity_based(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         a, b = "pkt", "pkt2"
         q.push(job(a))
         assert not q.cancel(b)
         assert q.cancel(a)
 
+    def test_priorities_are_ignored(self):
+        q = TxQueue()
+        q.push(job("first", priority=0.9))
+        q.push(job("second", priority=0.1))
+        assert [q.pop().packet for _ in range(2)] == ["first", "second"]
+
+    def test_cancel_withdraws_the_earliest_queued_copy(self):
+        q = TxQueue()
+        p = object()
+        jobs = [job("a"), job("b"), job(p), job(p), job("c")]
+        for j in jobs:
+            q.push(j)
+        q.pop()  # leaves the later copy of p ahead of the earlier one in the heap
+        assert q.cancel(p)
+        assert jobs[2].cancelled and not jobs[3].cancelled
+        assert [q.pop() for _ in range(3)] == [jobs[1], jobs[3], jobs[4]]
+
     def test_bool_reflects_live_jobs(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         p = object()
         q.push(job(p))
         assert q
@@ -63,26 +80,26 @@ class TestFifo:
 
 class TestPriority:
     def test_lowest_priority_value_first(self):
-        q = PriorityTxQueue()
+        q = TxQueue(prioritized=True)
         q.push(job("slow", priority=0.9))
         q.push(job("fast", priority=0.1))
         q.push(job("mid", priority=0.5))
         assert [q.pop().packet for _ in range(3)] == ["fast", "mid", "slow"]
 
     def test_ties_break_fifo(self):
-        q = PriorityTxQueue()
+        q = TxQueue(prioritized=True)
         for i in range(5):
             q.push(job(i, priority=1.0))
         assert [q.pop().packet for _ in range(5)] == list(range(5))
 
     def test_capacity_drop_tail(self):
-        q = PriorityTxQueue(capacity=1)
+        q = TxQueue(prioritized=True, capacity=1)
         assert q.push(job(0))
         assert not q.push(job(1, priority=-1.0))  # even urgent jobs drop when full
         assert q.dropped == 1
 
     def test_cancel_in_heap(self):
-        q = PriorityTxQueue()
+        q = TxQueue(prioritized=True)
         p = object()
         q.push(job(p, priority=0.0))
         q.push(job("other", priority=1.0))
@@ -93,7 +110,7 @@ class TestPriority:
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), max_size=50))
     @settings(max_examples=50, deadline=None)
     def test_pops_are_sorted_by_priority(self, priorities):
-        q = PriorityTxQueue(capacity=100)
+        q = TxQueue(prioritized=True, capacity=100)
         for i, p in enumerate(priorities):
             q.push(job(i, priority=p))
         popped = []

@@ -10,7 +10,7 @@ import pytest
 from repro.core.backoff import RandomBackoff
 from repro.mac.csma import MacConfig
 from repro.mac.queue import DropReason as QueueDropReason
-from repro.mac.queue import FifoTxQueue, TxJob
+from repro.mac.queue import TxJob, TxQueue
 from repro.net.flooding import FloodingConfig
 from repro.net.packet import Packet, PacketKind
 from repro.obs.ledger import DropReason, PacketStage
@@ -35,7 +35,7 @@ def assert_reasons_sum_to_total(obs: Observability) -> None:
 
 class TestQueueOverflow:
     def test_queue_tracks_per_reason_counts(self):
-        q = FifoTxQueue(capacity=1)
+        q = TxQueue(capacity=1)
         assert q.push(TxJob(packet="a", dst=None, size_bytes=64, priority=0))
         assert not q.push(TxJob(packet="b", dst=None, size_bytes=64, priority=0))
         assert q.dropped == 1
@@ -44,7 +44,7 @@ class TestQueueOverflow:
         assert q.drops_by_reason == {QueueDropReason.QUEUE_OVERFLOW: 1}
 
     def test_purge_counts_under_given_reason(self):
-        q = FifoTxQueue()
+        q = TxQueue()
         q.push(TxJob(packet="a", dst=None, size_bytes=64, priority=0))
         purged = q.purge(QueueDropReason.RADIO_OFF)
         assert [j.packet for j in purged] == ["a"]

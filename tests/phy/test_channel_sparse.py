@@ -168,19 +168,12 @@ class TestShadowingAgainstReference:
 
 
 class TestSparseOffsets:
-    def test_matrix_and_mapping_forms_agree(self, ctx):
-        positions = positions_for(100, 800)
-        by_matrix = make_channel(ctx, positions)
-        by_mapping = make_channel(ctx, positions)
-        matrix = np.zeros((100, 100))
-        matrix[3, 4] = -200.0
-        matrix[10, 11] = -3.5
-        by_matrix.set_link_offsets(matrix)
+    def test_offsets_match_reference(self, ctx):
+        channel = make_channel(ctx, positions_for(100, 800))
         offsets = {(3, 4): -200.0, (10, 11): -3.5}
-        by_mapping.set_link_offsets(offsets)
-        assert_matches_reference(by_matrix, offsets)
-        assert_matches_reference(by_mapping, offsets)
-        assert 4 not in by_mapping.reach[3]
+        channel.set_link_offsets(offsets)
+        assert_matches_reference(channel, offsets)
+        assert 4 not in channel.reach[3]
 
     def test_positive_offset_extends_reach_beyond_grid_radius(self, ctx):
         positions = np.array([[0.0, 0.0], [2000.0, 0.0], [100.0, 0.0]])
@@ -197,25 +190,15 @@ class TestSparseOffsets:
         channel.set_link_offsets(None)
         assert_matches_reference(channel)
 
-    def test_wrong_matrix_shape_raises_both_modes(self, ctx):
-        """Both offset forms are validated: matrix shape and pair range."""
-        channel = make_channel(ctx, positions_for(10, 300))
-        with pytest.raises(ValueError, match="offsets"):
-            channel.set_link_offsets(np.zeros((2, 2)))
-
     def test_out_of_range_pair_raises(self, ctx):
         channel = make_channel(ctx, positions_for(10, 300))
         with pytest.raises(ValueError, match="outside"):
             channel.set_link_offsets({(0, 99): -3.0})
 
-    def test_nan_offset_rejected_in_both_forms(self, ctx):
+    def test_nan_offset_rejected(self, ctx):
         channel = make_channel(ctx, positions_for(10, 300))
         with pytest.raises(ValueError, match="NaN"):
             channel.set_link_offsets({(0, 1): float("nan")})
-        matrix = np.zeros((10, 10))
-        matrix[2, 3] = np.nan
-        with pytest.raises(ValueError, match="NaN"):
-            channel.set_link_offsets(matrix)
         assert channel._offset_pairs == {}
         assert_matches_reference(channel)
 

@@ -31,7 +31,7 @@ PROMISED = frozenset("""
     RoutelessRouting SSAF ScenarioConfig ServeClient ServeConfig ServeError
     ServerThread SignalStrengthBackoff SimContext Simulator SweepSeries
     TokenMutex Transceiver TwoRayGround Violation VirtualForceConfig
-    VirtualForceControl apply_failures attach_cbr build_network
+    VirtualForceControl attach_cbr build_network
     build_protocol_network check_invariants config_fingerprint
     connected_uniform fig4_plan format_table grid install_plan
     mixed_chaos_plan mobility_model mobility_model_names pick_flows
@@ -52,7 +52,7 @@ def test_every_exported_name_resolves(module_name):
 def test_promised_names_stay_exported():
     import repro.api
 
-    assert len(PROMISED) == 89
+    assert len(PROMISED) == 88
     assert sorted(PROMISED - set(repro.api.__all__)) == []
 
 
