@@ -18,6 +18,7 @@ Run:  python examples/routeless_routing_demo.py
 import numpy as np
 
 from repro.experiments.common import ScenarioConfig, build_protocol_network
+from repro.net.packet import uid_str
 from repro.obs import Observability
 
 #       1 ─── 3
@@ -40,13 +41,12 @@ def print_events(obs: Observability, since: float) -> None:
     losses (suppress), deliveries and drops."""
     for entry in obs.ledger.entries:
         if entry.time >= since and entry.layer == "net":
-            kind, origin, seq = entry.uid
             detail = " ".join(f"{k}={v:.4g}" if isinstance(v, float)
                               else f"{k}={v}"
                               for k, v in (entry.detail or {}).items())
             reason = f" ({entry.reason.value})" if entry.reason else ""
             print(f"   [{entry.time:9.6f}] node {entry.node} "
-                  f"{entry.stage.value:<9} {kind.value}:{origin}:{seq}"
+                  f"{entry.stage.value:<9} {uid_str(entry.uid)}"
                   f"{reason} {detail}".rstrip())
 
 

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 from repro.core.backoff import BackoffInput, BackoffPolicy
 from repro.core.timer import CandidateState, CandidateTimer
 from repro.mac.csma import CsmaMac
-from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter
+from repro.net.packet import DEFAULT_CTRL_SIZE, Packet, PacketKind, SeqCounter, uid_fields
 from repro.phy.radio import Reception
 from repro.sim.components import Component, SimContext
 
@@ -64,7 +64,7 @@ class ElectionConfig:
 class ElectionRound:
     """One node's view of one election instance."""
 
-    uid: tuple
+    uid: int
     attempt: int = 0
     leader: Optional[int] = None
     timer: Optional[CandidateTimer] = None
@@ -97,8 +97,8 @@ class ElectionNode(Component):
         self._observe = observe if observe is not None else self._default_observe
         self._rng = self.rng("policy")
         self._seq = SeqCounter()
-        self.rounds: dict[tuple, ElectionRound] = {}
-        self._arbiter_handles: dict[tuple, object] = {}
+        self.rounds: dict[int, ElectionRound] = {}
+        self._arbiter_handles: dict[int, object] = {}
 
         #: Delivers ``(round_uid, leader_id)`` when this node learns a leader.
         self.elected = self.outport("elected")
@@ -107,7 +107,7 @@ class ElectionNode(Component):
 
     # ----------------------------------------------------------- triggering
 
-    def trigger(self) -> tuple:
+    def trigger(self) -> int:
         """Broadcast a sync packet, creating the implicit synchronization
         point.  Returns the round uid."""
         seq = self._seq.next(PacketKind.SYNC)
@@ -125,13 +125,13 @@ class ElectionNode(Component):
             self._arm_arbiter(uid, packet)
         return uid
 
-    def _arm_arbiter(self, uid: tuple, sync_packet: Packet) -> None:
+    def _arm_arbiter(self, uid: int, sync_packet: Packet) -> None:
         handle = self.schedule(
             self.config.arbiter_timeout_s, self._arbiter_timeout, uid, sync_packet
         )
         self._arbiter_handles[uid] = handle
 
-    def _arbiter_timeout(self, uid: tuple, sync_packet: Packet) -> None:
+    def _arbiter_timeout(self, uid: int, sync_packet: Packet) -> None:
         self._arbiter_handles.pop(uid, None)
         round_ = self.rounds.get(uid)
         if round_ is None or round_.leader is not None:
@@ -176,7 +176,7 @@ class ElectionNode(Component):
             round_.timer = CandidateTimer(self, lambda: self._announce(uid, packet))
         round_.timer.arm(delay)
 
-    def _announce(self, uid: tuple, sync_packet: Packet) -> None:
+    def _announce(self, uid: int, sync_packet: Packet) -> None:
         round_ = self.rounds[uid]
         round_.leader = self.node_id
         announce = Packet(
@@ -202,8 +202,10 @@ class ElectionNode(Component):
         first_news = round_.leader is None
         if first_news:
             round_.leader = packet.origin
-        # The arbiter acknowledges the first announcement it hears.
-        if self.config.use_arbiter and uid[1] == self.node_id and not round_.acknowledged:
+        # The arbiter (the sync packet's origin) acknowledges the first
+        # announcement it hears.
+        _, arbiter, _ = uid_fields(uid)
+        if self.config.use_arbiter and arbiter == self.node_id and not round_.acknowledged:
             round_.acknowledged = True
             handle = self._arbiter_handles.pop(uid, None)
             if handle is not None:
@@ -238,6 +240,6 @@ class ElectionNode(Component):
 
     # -------------------------------------------------------------- queries
 
-    def leader_of(self, uid: tuple) -> Optional[int]:
+    def leader_of(self, uid: int) -> Optional[int]:
         round_ = self.rounds.get(uid)
         return None if round_ is None else round_.leader

@@ -36,6 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.net.packet import uid_str
 from repro.obs.ledger import PacketLedger, PacketStage
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,10 +122,9 @@ def ledger_accounting(ledger: PacketLedger) -> dict:
     "in-flight" means neither happened before the run ended (the packet was
     still queued, backing off, or waiting on a pending-election timer).
     """
-    originated: set[tuple] = set()
-    delivered: set[tuple] = set()
-    dropped: set[tuple] = set()
-    ghost_deliveries: set[tuple] = set()
+    originated: set[int] = set()
+    delivered: set[int] = set()
+    dropped: set[int] = set()
     for entry in ledger.entries:
         if entry.uid is None:
             continue
@@ -172,10 +172,10 @@ def _check_dead_radio(ledger: PacketLedger,
 def _check_conservation(ledger: PacketLedger,
                         violations: list[Violation]) -> None:
     acct = ledger_accounting(ledger)
-    for uid in sorted(acct["ghost_deliveries"], key=repr):
+    for uid in sorted(acct["ghost_deliveries"]):
         violations.append(Violation(
             "ledger-conservation",
-            f"uid {uid} was delivered but never originated",
+            f"uid {uid_str(uid)} was delivered but never originated",
             detail={"uid": uid},
         ))
     n_orig = len(acct["originated"])
@@ -192,7 +192,7 @@ def _check_conservation(ledger: PacketLedger,
 
 def _check_unique_origination(ledger: PacketLedger,
                               violations: list[Violation]) -> None:
-    counts: Counter[tuple] = Counter()
+    counts: Counter[int] = Counter()
     for entry in ledger.of_stage(PacketStage.ORIGINATE):
         if entry.uid is not None:
             counts[entry.uid] += 1
@@ -200,16 +200,16 @@ def _check_unique_origination(ledger: PacketLedger,
         if n > 1:
             violations.append(Violation(
                 "unique-origination",
-                f"uid {uid} originated {n} times",
+                f"uid {uid_str(uid)} originated {n} times",
                 detail={"uid": uid, "count": n},
             ))
 
 
 def _check_single_forwarder(ledger: PacketLedger,
                             violations: list[Violation]) -> None:
-    forwards: Counter[tuple] = Counter()
-    suppressed: set[tuple] = set()
-    late_forwards: set[tuple] = set()
+    forwards: Counter[tuple[int, int]] = Counter()
+    suppressed: set[tuple[int, int]] = set()
+    late_forwards: set[tuple[int, int]] = set()
     for entry in ledger.entries:
         if entry.uid is None:
             continue
@@ -224,14 +224,14 @@ def _check_single_forwarder(ledger: PacketLedger,
         if n > 1:
             violations.append(Violation(
                 "single-forwarder",
-                f"node {node} forwarded uid {uid} {n} times (one election "
+                f"node {node} forwarded uid {uid_str(uid)} {n} times (one election "
                 "must elect at most one uncancelled relay per node)",
                 detail={"uid": uid, "node": node, "count": n},
             ))
-    for uid, node in sorted(late_forwards, key=repr):
+    for uid, node in sorted(late_forwards):
         violations.append(Violation(
             "single-forwarder",
-            f"node {node} forwarded uid {uid} after suppressing it",
+            f"node {node} forwarded uid {uid_str(uid)} after suppressing it",
             detail={"uid": uid, "node": node},
         ))
 

@@ -64,7 +64,6 @@ class MacConfig:
     ack_timeout_s: float = 1.5e-3
     queue_capacity: int = 64
     priority_queue: bool = False
-    promiscuous: bool = False
     #: Reserve the medium with RTS/CTS for unicast payloads of at least this
     #: many bytes.  ``None`` disables virtual carrier sensing entirely.
     rts_threshold_bytes: int | None = None
@@ -97,8 +96,8 @@ class CsmaMac(Component):
         #: runs are unchanged to the last bit.
         self.time_scale = 1.0
 
-        #: Delivers ``(packet, Reception)`` for every received network packet
-        #: (promiscuous: also unicasts whose ``rx.frame.dst`` is another node).
+        #: Delivers ``(packet, Reception)`` for every network packet addressed
+        #: to this node or broadcast; unicasts for other nodes are not passed up.
         self.to_net = self.outport("to_net")
         #: Delivers ``(packet, dst)`` when a unicast exhausts its retries.
         self.send_failed = self.outport("send_failed")
@@ -460,8 +459,6 @@ class CsmaMac(Component):
         elif frame.dst == self.node_id:
             self.schedule(self.config.sifs_s, self._send_ack, frame.src, frame.seq)
             self.delivered_up += 1
-            self.to_net.emit(frame.payload, rx)
-        elif self.config.promiscuous:
             self.to_net.emit(frame.payload, rx)
 
     def _send_reserved_data(self) -> None:

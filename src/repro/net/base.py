@@ -27,7 +27,7 @@ class DuplicateCache:
     """Remembers every packet uid this node has seen."""
 
     def __init__(self) -> None:
-        self._seen: set[tuple] = set()
+        self._seen: set[int] = set()
 
     def seen(self, packet: Packet) -> bool:
         return packet.uid in self._seen

@@ -66,9 +66,9 @@ class ElectionFlooding(NetworkProtocol):
         super().__init__(ctx, node_id, mac, self.PROTOCOL_NAME, metrics)
         self.config = config
         self._policy_rng = self.rng("policy")
-        self._timers: dict[tuple, CandidateTimer] = {}
+        self._timers: dict[int, CandidateTimer] = {}
         # Relays the MAC accepted but has not yet put on the air.
-        self._queued_fwd: dict[tuple, Packet] = {}
+        self._queued_fwd: dict[int, Packet] = {}
         mac.sent.connect(self._on_sent)
         # counters for tests / ablations
         self.rebroadcasts = 0

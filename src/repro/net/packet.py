@@ -5,7 +5,10 @@ headers Section 4.1 describes:
 
 * ``origin`` / ``seq`` — who created the packet and its per-origin sequence
   number; together (with ``kind``) they identify a packet uniquely, which is
-  what counter-1 flooding's duplicate suppression keys on.
+  what counter-1 flooding's duplicate suppression keys on.  That identity is
+  :attr:`Packet.uid`, one int packed by :func:`packet_uid`; every other
+  module treats it as an opaque key and decodes it only through
+  :func:`uid_fields` or :func:`uid_str`.
 * ``target`` — the destination (source *or* destination node: the paper calls
   both "target nodes").
 * ``actual_hops`` — "records the number of hops traveled from the source to
@@ -31,7 +34,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
-__all__ = ["PacketKind", "Packet", "SeqCounter", "DEFAULT_DATA_SIZE", "DEFAULT_CTRL_SIZE"]
+__all__ = ["PacketKind", "Packet", "SeqCounter", "packet_uid", "uid_fields", "uid_str",
+           "DEFAULT_DATA_SIZE", "DEFAULT_CTRL_SIZE"]
 
 DEFAULT_DATA_SIZE = 512
 DEFAULT_CTRL_SIZE = 48
@@ -52,7 +56,38 @@ class PacketKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+# A uid packs ``seq << 36 | origin << 4 | kind code``: the kind's declaration
+# index in the low bits, a fixed-width origin above it, and an unbounded seq
+# on top, so distinct triples never collide.
+_KIND_BITS = 4
+_ORIGIN_BITS = 32
+_KINDS = tuple(PacketKind)
+_KIND_CODE = {kind: code for code, kind in enumerate(_KINDS)}
+assert len(_KINDS) <= 1 << _KIND_BITS
+
+
+def packet_uid(kind: PacketKind, origin: int, seq: int) -> int:
+    """The network-wide identity of packet ``seq`` of ``kind`` from ``origin``."""
+    if not 0 <= origin < 1 << _ORIGIN_BITS:
+        raise ValueError(f"packet origin {origin} outside [0, 2**{_ORIGIN_BITS})")
+    if seq < 0:
+        raise ValueError(f"packet seq {seq} is negative")
+    return (seq << _ORIGIN_BITS | origin) << _KIND_BITS | _KIND_CODE[kind]
+
+
+def uid_fields(uid: int) -> tuple[PacketKind, int, int]:
+    """Inverse of :func:`packet_uid`: ``(kind, origin, seq)``."""
+    kind = _KINDS[uid & (1 << _KIND_BITS) - 1]
+    rest = uid >> _KIND_BITS
+    return kind, rest & (1 << _ORIGIN_BITS) - 1, rest >> _ORIGIN_BITS
+
+
+def uid_str(uid: int) -> str:
+    """``kind:origin:seq``, the form traces and reports name a packet by."""
+    return "{0.value}:{1}:{2}".format(*uid_fields(uid))
+
+
+@dataclass(frozen=True, slots=True)
 class Packet:
     kind: PacketKind
     origin: int
@@ -65,21 +100,21 @@ class Packet:
     ref_seq: Optional[int] = None
     payload: Any = None
     path: tuple[int, ...] = ()
+    #: Network-wide identity, ``packet_uid(kind, origin, seq)``.
+    uid: int = field(init=False, compare=False, repr=False)
 
-    @property
-    def uid(self) -> tuple[PacketKind, int, int]:
-        """Network-wide unique identity (kind, origin, per-origin seq)."""
-        return (self.kind, self.origin, self.seq)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "uid", packet_uid(self.kind, self.origin, self.seq))
 
     def forwarded(self, relay: int, expected_hops: int | None = None) -> "Packet":
         """The copy a relay node puts back on the air: one more actual hop,
         the relay appended to the path, and (for election-routed packets) a
         fresh expected-hop field."""
-        return replace(
-            self,
-            actual_hops=self.actual_hops + 1,
-            path=self.path + (relay,),
-            expected_hops=self.expected_hops if expected_hops is None else expected_hops,
+        return Packet(
+            self.kind, self.origin, self.seq, self.target, self.size_bytes,
+            self.created_at, self.actual_hops + 1,
+            self.expected_hops if expected_hops is None else expected_hops,
+            self.ref_seq, self.payload, self.path + (relay,),
         )
 
     def with_fields(self, **changes: Any) -> "Packet":

@@ -51,6 +51,7 @@ from repro.net.packet import (
     DEFAULT_DATA_SIZE,
     Packet,
     PacketKind,
+    uid_fields,
 )
 from repro.obs.ledger import DropReason
 from repro.phy.radio import Reception
@@ -183,7 +184,7 @@ class RoutelessRouting(NetworkProtocol):
             lam=config.lam, unknown_penalty=config.unknown_penalty
         )
         self._discovery_policy = RandomBackoff(max_delay=config.discovery_backoff)
-        self._states: dict[tuple, _RelayState] = {}
+        self._states: dict[int, _RelayState] = {}
         self._discoveries: dict[int, _Discovery] = {}
         self._pending_data: dict[int, list[Packet]] = {}
 
@@ -321,7 +322,7 @@ class RoutelessRouting(NetworkProtocol):
         state.timer.arm(delay)
         self._states[uid] = state
 
-    def _relay_discovery(self, uid: tuple) -> None:
+    def _relay_discovery(self, uid: int) -> None:
         state = self._states.get(uid)
         if state is None or state.pending is None:
             return
@@ -464,7 +465,7 @@ class RoutelessRouting(NetworkProtocol):
             state.last_ack = self.now
             self._send_net_ack(uid, packet.target, level=0)
 
-    def _relay_fire(self, uid: tuple) -> None:
+    def _relay_fire(self, uid: int) -> None:
         state = self._states.get(uid)
         if state is None or state.pending is None:
             return
@@ -500,7 +501,7 @@ class RoutelessRouting(NetworkProtocol):
         self.mac.send(packet)
         self._enter_arbiter(state, packet.uid)
 
-    def _enter_arbiter(self, state: _RelayState, uid: tuple) -> None:
+    def _enter_arbiter(self, state: _RelayState, uid: int) -> None:
         state.phase = RelayPhase.ARBITER
         # Jittered: two arbiters that transmitted near-simultaneously (and
         # mutually silenced each other's candidates) must not also retransmit
@@ -508,7 +509,7 @@ class RoutelessRouting(NetworkProtocol):
         timeout = self.config.arbiter_timeout_s * (1.0 + float(self._rng.uniform(0.0, 0.5)))
         state.arbiter_handle = self.schedule(timeout, self._arbiter_timeout, uid)
 
-    def _arbiter_timeout(self, uid: tuple) -> None:
+    def _arbiter_timeout(self, uid: int) -> None:
         state = self._states.get(uid)
         if state is None or state.phase != RelayPhase.ARBITER:
             return
@@ -527,7 +528,7 @@ class RoutelessRouting(NetworkProtocol):
             self.config.arbiter_timeout_s, self._arbiter_timeout, uid
         )
 
-    def _ack_and_finish(self, state: _RelayState, uid: tuple,
+    def _ack_and_finish(self, state: _RelayState, uid: int,
                         target: int | None, witnessed: int) -> None:
         state.phase = RelayPhase.DONE
         if state.arbiter_handle is not None:
@@ -545,7 +546,7 @@ class RoutelessRouting(NetworkProtocol):
         state.last_ack = self.now
         self._send_net_ack(uid, target, level=witnessed)
 
-    def _schedule_suppressed_ack(self, state: _RelayState, uid: tuple,
+    def _schedule_suppressed_ack(self, state: _RelayState, uid: int,
                                  target: int | None) -> None:
         if state.ack_handle is not None:
             return  # one pending answer is enough
@@ -563,11 +564,10 @@ class RoutelessRouting(NetworkProtocol):
         jitter = float(self._rng.uniform(0.0, self.config.lam / 2))
         state.ack_handle = self.schedule(jitter, fire)
 
-    def _send_net_ack(self, uid: tuple, target: int | None, level: int) -> None:
+    def _send_net_ack(self, uid: int, target: int | None, level: int) -> None:
         """Broadcast "a copy of ``uid`` at ``level`` is on the air" (0 from
         the target means delivered).  The level scopes the ack: it silences
         exactly the elections it makes redundant."""
-        kind, origin, seq = uid
         ack = Packet(
             kind=PacketKind.NET_ACK,
             origin=self.node_id,
@@ -576,7 +576,7 @@ class RoutelessRouting(NetworkProtocol):
             size_bytes=self.config.ctrl_size,
             created_at=self.now,
             expected_hops=level,
-            ref_seq=seq,
+            ref_seq=uid_fields(uid)[2],
             payload=uid,
         )
         self.acks_sent += 1

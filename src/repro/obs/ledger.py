@@ -80,13 +80,13 @@ class PacketStage(enum.Enum):
 
 class LedgerEntry:
     """One lifecycle event.  ``uid`` is the packet's network-wide identity
-    (``(kind, origin, seq)``), or ``None`` for control frames that carry no
-    network packet (MAC ACK/RTS/CTS)."""
+    (:attr:`repro.net.packet.Packet.uid`), or ``None`` for control frames
+    that carry no network packet (MAC ACK/RTS/CTS)."""
 
     __slots__ = ("time", "node", "layer", "stage", "uid", "reason", "detail")
 
     def __init__(self, time: float, node: int, layer: str, stage: PacketStage,
-                 uid: Optional[tuple] = None,
+                 uid: Optional[int] = None,
                  reason: Optional[DropReason] = None,
                  detail: Optional[dict] = None):
         self.time = time
@@ -106,8 +106,10 @@ class LedgerEntry:
             "stage": self.stage.value,
         }
         if self.uid is not None:
-            kind, origin, seq = self.uid
-            row["uid"] = [getattr(kind, "value", str(kind)), origin, seq]
+            from repro.net.packet import uid_fields  # net imports obs
+
+            kind, *origin_seq = uid_fields(self.uid)
+            row["uid"] = [kind.value, *origin_seq]
         if self.reason is not None:
             row["reason"] = self.reason.value
         if self.detail:
@@ -134,12 +136,12 @@ class PacketLedger:
         #: record order.  Hot paths append to it directly.
         self.rows: list[tuple] = []
         self._entries: list[LedgerEntry] = []
-        self._by_uid: dict[tuple, list[LedgerEntry]] = {}
+        self._by_uid: dict[int, list[LedgerEntry]] = {}
         self._drops: TallyCounter[DropReason] = TallyCounter()
         self._stages: TallyCounter[PacketStage] = TallyCounter()
 
     def record(self, time: float, node: int, layer: str, stage: PacketStage,
-               uid: Optional[tuple] = None,
+               uid: Optional[int] = None,
                reason: Optional[DropReason] = None,
                **detail: Any) -> None:
         self.rows.append((time, node, layer, stage, uid, reason,
@@ -170,12 +172,12 @@ class PacketLedger:
         self._index()
         return self._entries
 
-    def chain(self, uid: tuple) -> list[LedgerEntry]:
+    def chain(self, uid: int) -> list[LedgerEntry]:
         """Every event of one packet, in record (≈ causal) order."""
         self._index()
         return list(self._by_uid.get(uid, ()))
 
-    def uids(self) -> Iterator[tuple]:
+    def uids(self) -> Iterator[int]:
         self._index()
         return iter(self._by_uid)
 

@@ -131,46 +131,46 @@ class Observability:
     # detail)`` row and nothing else; the ledger-derived families are folded
     # from those rows when the registry is read (see :meth:`_fold`).
 
-    def on_originate(self, time: float, node: int, uid: tuple) -> None:
+    def on_originate(self, time: float, node: int, uid: int) -> None:
         self._append((time, node, "net", _ORIGINATE, uid, None, None))
 
-    def on_enqueue(self, time: float, node: int, uid: Optional[tuple],
+    def on_enqueue(self, time: float, node: int, uid: Optional[int],
                    depth: int) -> None:
         self._append((time, node, "mac", _ENQUEUE, uid, None,
                       {"depth": depth}))
 
-    def on_contend(self, time: float, node: int, uid: Optional[tuple],
+    def on_contend(self, time: float, node: int, uid: Optional[int],
                    backoff_s: float, retries: int) -> None:
         self._append((time, node, "mac", _CONTEND, uid, None,
                       {"backoff_s": backoff_s, "retries": retries}))
 
-    def on_tx(self, time: float, node: int, uid: Optional[tuple], kind: str,
+    def on_tx(self, time: float, node: int, uid: Optional[int], kind: str,
               duration_s: float) -> None:
         self._append((time, node, "phy", _TX, uid, None,
                       {"kind": kind, "duration_s": duration_s}))
 
-    def on_rx(self, time: float, node: int, uid: Optional[tuple],
+    def on_rx(self, time: float, node: int, uid: Optional[int],
               power_dbm: float) -> None:
         self._append((time, node, "phy", _RX, uid, None,
                       {"power_dbm": power_dbm}))
 
-    def on_suppress(self, time: float, node: int, uid: tuple,
+    def on_suppress(self, time: float, node: int, uid: int,
                     **detail: Any) -> None:
         self._append((time, node, "net", _SUPPRESS, uid, None,
                       detail or None))
 
-    def on_forward(self, time: float, node: int, uid: tuple,
+    def on_forward(self, time: float, node: int, uid: int,
                    **detail: Any) -> None:
         self._append((time, node, "net", _FORWARD, uid, None,
                       detail or None))
 
-    def on_deliver(self, time: float, node: int, uid: tuple, delay_s: float,
+    def on_deliver(self, time: float, node: int, uid: int, delay_s: float,
                    hops: int) -> None:
         self._append((time, node, "net", _DELIVER, uid, None,
                       {"delay_s": delay_s, "hops": hops}))
 
     def on_drop(self, time: float, node: int, layer: str, reason: DropReason,
-                uid: Optional[tuple] = None, **detail: Any) -> None:
+                uid: Optional[int] = None, **detail: Any) -> None:
         self._append((time, node, layer, _DROP, uid, reason, detail or None))
 
     def on_fault(self, time: float, node: int, kind: str, action: str,
@@ -188,7 +188,7 @@ class Observability:
         self.fault_nodes.labels(kind).set(
             float(len(self._fault_touched[kind])))
 
-    def on_election_win(self, time: float, node: int, uid: tuple,
+    def on_election_win(self, time: float, node: int, uid: int,
                         protocol: str, backoff_s: float) -> None:
         """The relay that fired first for ``uid``; feeds the election-win
         backoff histogram the ``repro obs summary`` report renders."""

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Optional
 
 from repro.obs.ledger import PacketLedger, PacketStage
 
@@ -40,16 +39,11 @@ _PID_NAME = {0: "other", **{pid: layer for layer, pid in _LAYER_PID.items()}}
 _S_TO_US = 1e6
 
 
-def _uid_str(uid: Optional[tuple]) -> str:
-    if uid is None:
-        return "-"
-    kind, origin, seq = uid
-    return f"{getattr(kind, 'value', kind)}:{origin}:{seq}"
-
-
 def chrome_trace_events(ledger: PacketLedger) -> list[dict]:
     """The ``traceEvents`` list: one event per ledger entry, plus the
     metadata events naming each layer's process and each node's thread."""
+    from repro.net.packet import uid_str  # net imports obs
+
     events: list[dict] = []
     seen_threads: set[tuple[int, int]] = set()
 
@@ -57,7 +51,7 @@ def chrome_trace_events(ledger: PacketLedger) -> list[dict]:
         pid = _LAYER_PID.get(entry.layer, 0)
         tid = entry.node
         seen_threads.add((pid, tid))
-        args = {"uid": _uid_str(entry.uid)}
+        args = {"uid": "-" if entry.uid is None else uid_str(entry.uid)}
         if entry.reason is not None:
             args["reason"] = entry.reason.value
         if entry.detail:

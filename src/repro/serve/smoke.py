@@ -13,6 +13,16 @@ real HTTP:
 3. **Clean SSE stream** — the cell's event stream replays the complete
    ``queued → running → done`` sequence, the terminal event is marked,
    and it carries the obs metrics snapshot.
+4. **Exposition syntax** — after one more traced query on its own cell,
+   ``GET /metrics`` parses with the strict stdlib parser
+   (:func:`repro.obs.prom.parse_exposition`): every family typed,
+   histograms cumulative with a ``+Inf`` bucket.
+5. **Required series** — request-latency histogram samples for the routes
+   the queries touched, lane queue-depth gauges for both lanes, cache
+   hit/miss counters, and the execution counter reflecting the two runs.
+6. **Trace plumbing** — the trace id the client minted comes back in the
+   SSE terminal event and ``GET /v1/traces/{id}`` exports spans covering
+   the queue wait, the execution attempt and the simulation run.
 
 Exit status 0 on success; 1 with a diagnostic on any violated invariant.
 """
@@ -22,7 +32,10 @@ from __future__ import annotations
 import sys
 import tempfile
 import threading
+import urllib.request
 
+from repro.obs.prom import ExpositionError, parse_exposition
+from repro.obs.spans import new_trace_id
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, ServerThread
 
@@ -36,6 +49,10 @@ SMALL_FIG1 = {
     "config": {"n_nodes": 12, "terrain_m": 300.0, "n_connections": 3,
                "duration_s": 3.0},
 }
+
+#: The traced query's cell: a different seed, so it executes rather than
+#: replaying ``SMALL_FIG1`` from the cache, and its trace covers a real run.
+TRACED_FIG1 = {**SMALL_FIG1, "seed": 2}
 
 
 def _fail(message: str) -> int:
@@ -118,7 +135,83 @@ def run_smoke() -> int:
             print("serve-smoke: SSE stream ok "
                   f"(wall {terminal['telemetry']['wall_s']:.2f}s)")
 
+            status = _check_metrics_and_trace(srv.base_url)
+            if status:
+                return status
+
     print("serve-smoke: PASS")
+    return 0
+
+
+def _scrape(base_url: str) -> str:
+    with urllib.request.urlopen(f"{base_url}/metrics", timeout=30) as resp:
+        content_type = resp.headers.get("Content-Type", "")
+        if not content_type.startswith("text/plain"):
+            raise ExpositionError(f"bad content type {content_type!r}")
+        return resp.read().decode("utf-8")
+
+
+def _check_metrics_and_trace(base_url: str) -> int:
+    """Checks 4-6: one traced query, then the scrape and the trace export."""
+    trace_id = new_trace_id()
+    client = ServeClient(base_url, timeout_s=120, trace_id=trace_id)
+    reply = client.run(TRACED_FIG1, timeout_s=120)
+    if reply.get("status") != "done":
+        return _fail(f"traced query did not settle: {reply}")
+    if reply.get("trace_id") != trace_id:
+        return _fail(f"terminal event lost the trace id: {reply}")
+    print(f"serve-smoke: traced query done (trace {trace_id})")
+
+    # 4. The exposition parses under the strict parser.
+    text = _scrape(base_url)
+    try:
+        families = parse_exposition(text)
+    except ExpositionError as exc:
+        return _fail(f"exposition rejected: {exc}")
+    print(f"serve-smoke: exposition ok "
+          f"({len(families)} families, {len(text)} bytes)")
+
+    # 5. The series the daemon must export.
+    latency = families.get("repro_http_request_seconds")
+    if latency is None or latency["type"] != "histogram":
+        return _fail("no repro_http_request_seconds histogram")
+    routes = {labels.get("route")
+              for name, labels, _v in latency["samples"]
+              if name.endswith("_bucket")}
+    for route in ("/v1/cells", "/v1/cells/{key}/events"):
+        if route not in routes:
+            return _fail(f"no latency series for route {route!r} "
+                         f"(saw {sorted(routes)})")
+    depth = families.get("repro_lane_queue_depth")
+    if depth is None or depth["type"] != "gauge":
+        return _fail("no repro_lane_queue_depth gauge")
+    lanes = {labels.get("lane") for _n, labels, _v in depth["samples"]}
+    if lanes != {"interactive", "batch"}:
+        return _fail(f"queue-depth gauges missing a lane: {lanes}")
+    lookups = families.get("repro_cache_lookups_total")
+    if lookups is None or lookups["type"] != "counter":
+        return _fail("no repro_cache_lookups_total counter")
+    outcomes = {labels.get("outcome"): value
+                for _n, labels, value in lookups["samples"]}
+    if outcomes.get("miss", 0) < 1:
+        return _fail(f"expected >=1 cache miss, saw {outcomes}")
+    executed = sum(
+        value for _n, labels, value in
+        families.get("repro_cells_executed_total", {"samples": []})["samples"])
+    if executed != 2:
+        return _fail(f"expected 2 executed cells, saw {executed}")
+    print("serve-smoke: required series ok "
+          f"(routes {sorted(routes)}, lanes {sorted(lanes)})")
+
+    # 6. The trace export covers queue wait, attempt and sim run.
+    names = {event["name"]
+             for event in client.trace().get("traceEvents", [])
+             if event.get("ph") == "X"}
+    for required in ("queue.wait", "attempt", "sim.run", "http.request"):
+        if required not in names:
+            return _fail(f"trace export missing span {required!r} "
+                         f"(saw {sorted(names)})")
+    print(f"serve-smoke: trace export ok ({sorted(names)})")
     return 0
 
 

@@ -94,7 +94,7 @@ class SimContext:
         self.obs = obs
         #: True when an :class:`~repro.obs.observe.Observability` is
         #: attached.  Hot-path code checks this *before* building ledger or
-        #: metric arguments (uid tuples, kwargs dicts), so a run without
+        #: metric arguments (kwargs dicts), so a run without
         #: one pays one attribute read per instrumented site.
         self.observing: bool = obs is not None
 

@@ -30,7 +30,7 @@ __all__ = ["Delivery", "MetricsCollector", "MetricsSummary"]
 
 @dataclass(frozen=True)
 class Delivery:
-    uid: tuple
+    uid: int
     origin: int
     target: int
     sent_at: float
@@ -64,9 +64,9 @@ class MetricsCollector:
     """Aggregates originations and (first) deliveries across the network."""
 
     def __init__(self) -> None:
-        self._originated: dict[tuple, "Packet"] = {}
+        self._originated: dict[int, "Packet"] = {}
         self.deliveries: list[Delivery] = []
-        self._delivered_uids: set[tuple] = set()
+        self._delivered_uids: set[int] = set()
         self.duplicate_deliveries = 0
         self.relay_usage: Counter[int] = Counter()
 

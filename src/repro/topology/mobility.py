@@ -138,10 +138,6 @@ class _MobilityBase(Component):
             raise ValueError(
                 f"arena is {arena.dim}-D but the channel is "
                 f"{channel.dim}-D — build both from the same Arena")
-        #: Legacy accessors; prefer ``self.arena``.
-        self.width_m = arena.width_m
-        self.height_m = arena.height_m
-        self.depth_m = arena.depth_m
         self.config = config if config is not None else self._default_config()
         self.positions = channel.positions.copy()
         self.n = len(self.positions)

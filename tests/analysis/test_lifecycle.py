@@ -6,14 +6,14 @@ rows name the relays that won each hop's election, in hop order.
 
 import pytest
 
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid
 from repro.net.routeless import RoutelessConfig
 from repro.obs.ledger import DropReason, PacketStage
 from repro.obs.observe import Observability
 from tests.conftest import line_network
 
-DATA = (PacketKind.DATA, 0, 0)
-REPLY = (PacketKind.PATH_REPLY, 4, 0)
+DATA = packet_uid(PacketKind.DATA, 0, 0)
+REPLY = packet_uid(PacketKind.PATH_REPLY, 4, 0)
 
 
 def relays(chain):
@@ -40,7 +40,7 @@ class TestReconstruction:
 
     def test_discovery_and_reply_present(self, observed_run):
         obs, net = observed_run
-        assert obs.ledger.chain((PacketKind.PATH_DISCOVERY, 0, 0))
+        assert obs.ledger.chain(packet_uid(PacketKind.PATH_DISCOVERY, 0, 0))
         assert relays(obs.ledger.chain(REPLY)) == [3, 2, 1]
         # The reply reached the source: the path is known, discovery over.
         assert net.protocols[0].table.knows(4)
@@ -67,7 +67,7 @@ class TestReconstruction:
         net.radios[1].set_power(False)   # relay dies; source will retry
         net.protocols[0].send_data(2)
         net.run(until=8.0)
-        stuck = obs.ledger.chain((PacketKind.DATA, 0, 1))
+        stuck = obs.ledger.chain(packet_uid(PacketKind.DATA, 0, 1))
         assert net.protocols[0].arbiter_retransmits >= 1
         assert [e.node for e in stuck if e.stage is PacketStage.TX] == [0, 0, 0]
         assert not any(e.stage is PacketStage.DELIVER for e in stuck)

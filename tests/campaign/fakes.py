@@ -14,6 +14,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.net.packet import PacketKind, packet_uid
 from repro.stats.metrics import MetricsSummary
 
 
@@ -66,7 +67,8 @@ def observed_run_one(protocol, x, seed, config, obs=None):
         obs.registry.counter("fake_cells_total",
                              labelnames=("protocol",)).labels(protocol).inc()
         obs.on_deliver(0.5, node=1,
-                       uid=("data", 0, seed), delay_s=0.1 * x, hops=2)
+                       uid=packet_uid(PacketKind.DATA, 0, seed), delay_s=0.1 * x,
+                       hops=2)
     return make_summary(protocol, x, seed, config)
 
 

@@ -7,7 +7,7 @@ import pytest
 from repro.campaign import CampaignSpec, run_campaign
 from repro.experiments import cli, obs_cli
 from repro.experiments.registry import campaign_capable
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid
 from repro.obs.ledger import DropReason, PacketStage
 from tests.campaign import fakes
 from tests.campaign.fakes import FakeConfig
@@ -16,7 +16,7 @@ from tests.campaign.fakes import FakeConfig
 def fake_run_one(protocol, x, seed, config, obs=None, **extra):
     """A deterministic 'cell': a few lifecycle events on the obs bundle."""
     assert obs is not None
-    uid = (PacketKind.DATA, 0, seed)
+    uid = packet_uid(PacketKind.DATA, 0, seed)
     obs.on_originate(0.0, 0, uid)
     obs.on_tx(0.001, 0, uid, "data", 0.0005)
     obs.on_rx(0.0015, 1, uid, -60.0)

@@ -8,9 +8,11 @@ from repro.faults.invariants import (
     ledger_accounting,
     off_windows,
 )
+from repro.net.packet import PacketKind, packet_uid
 from repro.obs.ledger import DropReason, PacketLedger, PacketStage
 
-UID = ("data", 0, 0)
+UID = packet_uid(PacketKind.DATA, 0, 0)
+GHOST = packet_uid(PacketKind.DATA, 9, 9)
 
 
 def fault(ledger, t, node, kind, action):
@@ -45,11 +47,11 @@ class TestCleanRun:
 
     def test_dropped_and_in_flight_accounted(self):
         ledger = clean_ledger()
-        dead = ("data", 1, 0)
+        dead = packet_uid(PacketKind.DATA, 1, 0)
         ledger.record(0.3, 0, "net", PacketStage.ORIGINATE, dead)
         ledger.record(0.4, 0, "mac", PacketStage.DROP, dead,
                       DropReason.RETRY_EXHAUSTED)
-        stuck = ("data", 2, 0)
+        stuck = packet_uid(PacketKind.DATA, 2, 0)
         ledger.record(0.5, 0, "net", PacketStage.ORIGINATE, stuck)
         acct = ledger_accounting(ledger)
         assert acct["dropped"] == {dead}
@@ -60,13 +62,15 @@ class TestCleanRun:
 class TestGhostDelivery:
     def test_delivery_without_origination_flagged(self):
         ledger = clean_ledger()
-        ledger.record(0.5, 2, "net", PacketStage.DELIVER, ("ghost", 9, 9))
+        ledger.record(0.5, 2, "net", PacketStage.DELIVER, GHOST)
         violations = check_invariants(ledger)
         assert names(violations) == ["ledger-conservation"]
+        assert violations[0].message == \
+            "uid data:9:9 was delivered but never originated"
 
     def test_raise_on_violation(self):
         ledger = clean_ledger()
-        ledger.record(0.5, 2, "net", PacketStage.DELIVER, ("ghost", 9, 9))
+        ledger.record(0.5, 2, "net", PacketStage.DELIVER, GHOST)
         with pytest.raises(InvariantViolation, match="ledger-conservation"):
             check_invariants(ledger, raise_on_violation=True)
 
@@ -114,7 +118,10 @@ class TestUniqueOrigination:
     def test_double_origination_flagged(self):
         ledger = clean_ledger()
         ledger.record(0.6, 0, "net", PacketStage.ORIGINATE, UID)
-        assert "unique-origination" in names(check_invariants(ledger))
+        violations = check_invariants(ledger)
+        assert "unique-origination" in names(violations)
+        assert "uid data:0:0 originated 2 times" in \
+            [v.message for v in violations]
 
 
 class TestSingleForwarder:

@@ -112,15 +112,6 @@ class TestUnicast:
         ctx.simulator.run()
         assert got2 == []
 
-    def test_promiscuous_mode_overhears(self, ctx):
-        config = MacConfig(promiscuous=True)
-        channel, radios, macs = make_mac_stack(ctx, line_positions(3, spacing=100.0), config)
-        got2 = collect(macs[2])
-        macs[0].send(data(target=1), dst=1)
-        ctx.simulator.run()
-        assert len(got2) == 1
-        assert got2[0][1].frame.dst == 1  # overheard: addressed to node 1
-
 
 class TestCarrierDeferral:
     def test_concurrent_senders_avoid_collision(self, ctx):

@@ -4,7 +4,7 @@ arbitration, acknowledgement scoping and failure takeover."""
 import numpy as np
 import pytest
 
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid, uid_fields
 from repro.net.routeless import ActiveNodeTable, RelayPhase, RoutelessConfig
 from repro.obs.ledger import PacketStage
 from repro.obs.observe import Observability
@@ -110,7 +110,7 @@ class TestPathDiscovery:
         # One reply origination reached the source; a duplicate reply would
         # have produced a second uid.
         reply_uids = {u for u in net.protocols[0].dup_cache._seen
-                      if u[0] == PacketKind.PATH_REPLY}
+                      if uid_fields(u)[0] is PacketKind.PATH_REPLY}
         assert len(reply_uids) == 1
 
 
@@ -129,7 +129,7 @@ class TestRelayElection:
         net.protocols[0].send_data(4)
         net.run(until=5.0)
         levels = [e.detail["expected_hops"]
-                  for e in obs.ledger.chain((PacketKind.DATA, 0, 0))
+                  for e in obs.ledger.chain(packet_uid(PacketKind.DATA, 0, 0))
                   if e.stage is PacketStage.FORWARD]
         assert len(levels) == 3
         assert levels == sorted(levels, reverse=True)

@@ -2,18 +2,18 @@
 
 import json
 
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid
 from repro.obs.ledger import DropReason, PacketLedger, PacketStage
 
 
-UID = (PacketKind.DATA, 3, 0)
+UID = packet_uid(PacketKind.DATA, 3, 0)
 
 
 def test_chain_collects_one_packets_events_in_order():
     ledger = PacketLedger()
     ledger.record(0.0, 3, "net", PacketStage.ORIGINATE, UID)
     ledger.record(0.1, 3, "mac", PacketStage.ENQUEUE, UID, depth=1)
-    ledger.record(0.2, 7, "net", PacketStage.ORIGINATE, (PacketKind.DATA, 7, 0))
+    ledger.record(0.2, 7, "net", PacketStage.ORIGINATE, packet_uid(PacketKind.DATA, 7, 0))
     ledger.record(0.3, 5, "net", PacketStage.DELIVER, UID, delay_s=0.3, hops=2)
     chain = ledger.chain(UID)
     assert [e.stage for e in chain] == [PacketStage.ORIGINATE,
@@ -64,7 +64,7 @@ def test_to_dict_is_json_safe():
 
 def test_rows_after_a_query_reach_every_view():
     ledger = PacketLedger()
-    other = (PacketKind.DATA, 7, 0)
+    other = packet_uid(PacketKind.DATA, 7, 0)
     ledger.record(0.0, 3, "net", PacketStage.ORIGINATE, UID)
     # First queries build the lazy indexes...
     assert len(ledger.entries) == 1

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid
 from repro.obs.ledger import DropReason
 from repro.obs.observe import Observability
 from repro.obs.summary import format_summary, summarize
@@ -10,7 +10,7 @@ from repro.obs.summary import format_summary, summarize
 
 def observed_run() -> Observability:
     obs = Observability()
-    uid = (PacketKind.DATA, 0, 0)
+    uid = packet_uid(PacketKind.DATA, 0, 0)
     obs.on_originate(0.0, 0, uid)
     obs.on_enqueue(0.0, 0, uid, depth=1)
     obs.on_tx(0.001, 0, uid, "data", 0.002)

@@ -2,7 +2,7 @@
 
 import json
 
-from repro.net.packet import PacketKind
+from repro.net.packet import PacketKind, packet_uid
 from repro.obs.ledger import DropReason, PacketLedger, PacketStage
 from repro.obs.observe import Observability
 from repro.obs.timeline import (
@@ -12,7 +12,7 @@ from repro.obs.timeline import (
     write_jsonl,
 )
 
-UID = (PacketKind.DATA, 0, 0)
+UID = packet_uid(PacketKind.DATA, 0, 0)
 
 
 def small_ledger() -> PacketLedger:

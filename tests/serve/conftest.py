@@ -17,6 +17,7 @@ import pytest
 
 from repro.experiments.registry import experiment
 from repro.experiments.registry import unregister as registry_unregister
+from repro.net.packet import PacketKind, packet_uid
 from repro.serve.server import ServeConfig, ServerThread
 from repro.stats.metrics import MetricsSummary
 
@@ -57,7 +58,7 @@ def toy_run_one(protocol, x, seed, config, obs=None, faults=None):
     if protocol == "crash":
         raise ValueError(f"toy cell ({protocol}, {x:g}, {seed}) crashed")
     if obs is not None:
-        obs.on_deliver(0.5, node=1, uid=("data", 0, seed),
+        obs.on_deliver(0.5, node=1, uid=packet_uid(PacketKind.DATA, 0, seed),
                        delay_s=0.1 * x, hops=2)
     return toy_summary(protocol, x, seed)
 

@@ -221,12 +221,6 @@ class TestDeprecationShims:
     """The geometry arguments left once the deprecated width/height
     spellings were removed."""
 
-    def test_legacy_attrs_still_exposed(self):
-        ctx, channel = make_stack(ARENA_3D)
-        model = RandomWaypoint(ctx, channel, arena=ARENA_3D)
-        assert (model.width_m, model.height_m, model.depth_m) == \
-            (600.0, 600.0, 150.0)
-
     def test_arena_via_config(self):
         ctx, channel = make_stack(Arena(500.0, 500.0))
         model = RandomWalk(ctx, channel,
