@@ -133,3 +133,26 @@ class TestRouteMaintenance:
         net.run(until=10.0)
         assert net.channel.tx_count_by_kind["rreq"] > rreqs
         assert net.metrics.delivered == 2
+
+
+class TestRouteLearnedInPassing:
+    def test_buffered_data_sent_when_rreq_times_out_with_a_route(self):
+        # Node 1 is off while node 0's RREQ goes out, so no RREP comes back.
+        # Node 1 then runs its own discovery toward node 0, whose RREQ gives
+        # node 0 a route to node 1.  At node 0's RREQ timeout that route
+        # answers the discovery, and the buffered packet must go out on it.
+        net = line_network("aodv", n=2)
+        net.radios[1].set_power(False)
+        net.protocols[0].send_data(1)
+        net.run(until=0.3)
+        net.radios[1].set_power(True)
+        net.protocols[1].send_data(0)
+        net.run(until=0.9)
+        source = net.protocols[0]
+        assert source._valid_route(1) is not None
+        assert net.metrics.delivered == 1  # only node 1's packet so far
+
+        net.run(until=5.0)
+        assert net.metrics.delivered == 2
+        assert source.rreqs_sent == 1
+        assert source.data_dropped == 0
