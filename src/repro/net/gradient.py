@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.core.backoff import BackoffInput, RandomBackoff
 from repro.mac.csma import CsmaMac
-from repro.net.base import NetworkProtocol
+from repro.net.base import NetworkProtocol, RouteDiscovery
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
     DEFAULT_DATA_SIZE,
@@ -63,9 +63,12 @@ class GradientRouting(NetworkProtocol):
         self.table = ActiveNodeTable(stale_after=config.table_stale_after)
         self._rng = self.rng("jitter")
         self._discovery_policy = RandomBackoff(max_delay=config.discovery_backoff)
-        self._pending_data: dict[int, list[Packet]] = {}
-        self._discovery_handles: dict[int, object] = {}
-        self._discovery_attempts: dict[int, int] = {}
+        self.discovery = RouteDiscovery(
+            self, send_request=self._send_discovery,
+            route_known=self.table.knows, release=self._originate,
+            timeout_s=config.discovery_timeout_s,
+            max_retries=config.max_discovery_retries,
+            max_pending=config.max_pending_data)
         self.relays = 0
         self.data_dropped = 0
 
@@ -78,15 +81,7 @@ class GradientRouting(NetworkProtocol):
         if self.table.knows(target):
             self._originate(packet)
         else:
-            queue = self._pending_data.setdefault(target, [])
-            if len(queue) >= self.config.max_pending_data:
-                self.data_dropped += 1
-                if self.ctx.observing:
-                    self.obs_drop(packet, DropReason.QUEUE_OVERFLOW,
-                                  where="pending_discovery")
-            else:
-                queue.append(packet)
-            self._start_discovery(target)
+            self.discovery.hold(packet)
         return packet
 
     def _originate(self, packet: Packet) -> None:
@@ -96,12 +91,6 @@ class GradientRouting(NetworkProtocol):
         self.mac.send(stamped)
 
     # ------------------------------------------------------------ discovery
-
-    def _start_discovery(self, target: int) -> None:
-        if target in self._discovery_handles:
-            return
-        self._discovery_attempts.setdefault(target, 0)
-        self._send_discovery(target)
 
     def _send_discovery(self, target: int) -> None:
         packet = Packet(
@@ -114,32 +103,6 @@ class GradientRouting(NetworkProtocol):
         )
         self.dup_cache.record(packet)
         self.mac.send(packet)
-        self._discovery_handles[target] = self.schedule(
-            self.config.discovery_timeout_s, self._discovery_timeout, target
-        )
-
-    def _discovery_timeout(self, target: int) -> None:
-        self._discovery_handles.pop(target, None)
-        if self.table.knows(target):
-            self._flush(target)
-            return
-        attempts = self._discovery_attempts.get(target, 0) + 1
-        self._discovery_attempts[target] = attempts
-        if attempts > self.config.max_discovery_retries:
-            dropped = self._pending_data.pop(target, [])
-            self.data_dropped += len(dropped)
-            if self.ctx.observing:
-                for packet in dropped:
-                    self.obs_drop(packet, DropReason.NO_ROUTE, target=target)
-            return
-        self._send_discovery(target)
-
-    def _flush(self, target: int) -> None:
-        handle = self._discovery_handles.pop(target, None)
-        if handle is not None:
-            handle.cancel()
-        for packet in self._pending_data.pop(target, []):
-            self._originate(packet)
 
     # -------------------------------------------------------------- receive
 
@@ -182,7 +145,7 @@ class GradientRouting(NetworkProtocol):
             if self.dup_cache.record(packet):
                 if packet.kind == PacketKind.DATA:
                     self.deliver_up(packet, rx)
-                self._flush(packet.origin)
+                self.discovery.succeeded(packet.origin)
             return
         if not self.dup_cache.record(packet):
             if self.ctx.observing:

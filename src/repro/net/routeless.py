@@ -45,7 +45,7 @@ from typing import Optional
 from repro.core.backoff import BackoffInput, HopCountBackoff, RandomBackoff
 from repro.core.timer import CandidateTimer
 from repro.mac.csma import CsmaMac
-from repro.net.base import NetworkProtocol
+from repro.net.base import NetworkProtocol, RouteDiscovery
 from repro.net.packet import (
     DEFAULT_CTRL_SIZE,
     DEFAULT_DATA_SIZE,
@@ -130,13 +130,6 @@ class _RelayState:
             self.witness_level = level
 
 
-@dataclass
-class _Discovery:
-    target: int
-    attempts: int = 0
-    handle: object = None
-
-
 @dataclass(frozen=True)
 class RoutelessConfig:
     #: λ of the backoff equation — the full-scale election delay (seconds).
@@ -185,8 +178,12 @@ class RoutelessRouting(NetworkProtocol):
         )
         self._discovery_policy = RandomBackoff(max_delay=config.discovery_backoff)
         self._states: dict[int, _RelayState] = {}
-        self._discoveries: dict[int, _Discovery] = {}
-        self._pending_data: dict[int, list[Packet]] = {}
+        self.discovery = RouteDiscovery(
+            self, send_request=self._send_discovery,
+            route_known=self.table.knows, release=self._originate,
+            timeout_s=config.discovery_timeout_s,
+            max_retries=config.max_discovery_retries,
+            max_pending=config.max_pending_data)
 
         # counters for tests and ablations
         self.relays = 0
@@ -204,15 +201,7 @@ class RoutelessRouting(NetworkProtocol):
         if self.table.knows(target):
             self._originate(packet)
         else:
-            queue = self._pending_data.setdefault(target, [])
-            if len(queue) >= self.config.max_pending_data:
-                self.data_dropped += 1
-                if self.ctx.observing:
-                    self.obs_drop(packet, DropReason.QUEUE_OVERFLOW,
-                                  where="pending_discovery")
-            else:
-                queue.append(packet)
-            self._start_discovery(target)
+            self.discovery.hold(packet)
         return packet
 
     def _originate(self, packet: Packet) -> None:
@@ -224,49 +213,17 @@ class RoutelessRouting(NetworkProtocol):
 
     # -------------------------------------------------------- path discovery
 
-    def _start_discovery(self, target: int) -> None:
-        if target in self._discoveries:
-            return
-        disc = _Discovery(target=target)
-        self._discoveries[target] = disc
-        self._send_discovery(disc)
-
-    def _send_discovery(self, disc: _Discovery) -> None:
+    def _send_discovery(self, target: int) -> None:
         packet = Packet(
             kind=PacketKind.PATH_DISCOVERY,
             origin=self.node_id,
             seq=self.seq.next(PacketKind.PATH_DISCOVERY),
-            target=disc.target,
+            target=target,
             size_bytes=self.config.ctrl_size,
             created_at=self.now,
         )
         self.dup_cache.record(packet)
         self.mac.send(packet)
-        disc.handle = self.schedule(
-            self.config.discovery_timeout_s, self._discovery_timeout, disc
-        )
-
-    def _discovery_timeout(self, disc: _Discovery) -> None:
-        if self._discoveries.get(disc.target) is not disc:
-            return
-        disc.attempts += 1
-        if disc.attempts > self.config.max_discovery_retries:
-            del self._discoveries[disc.target]
-            dropped = self._pending_data.pop(disc.target, [])
-            self.data_dropped += len(dropped)
-            if self.ctx.observing:
-                for packet in dropped:
-                    self.obs_drop(packet, DropReason.NO_ROUTE,
-                                  target=disc.target)
-            return
-        self._send_discovery(disc)
-
-    def _discovery_succeeded(self, target: int) -> None:
-        disc = self._discoveries.pop(target, None)
-        if disc is not None and disc.handle is not None:
-            disc.handle.cancel()
-        for packet in self._pending_data.pop(target, []):
-            self._originate(packet)
 
     # -------------------------------------------------------------- receive
 
@@ -454,7 +411,7 @@ class RoutelessRouting(NetworkProtocol):
             if packet.kind == PacketKind.DATA:
                 self.deliver_up(packet, rx)
             else:  # PATH_REPLY back at the source: the path is discovered
-                self._discovery_succeeded(packet.origin)
+                self.discovery.succeeded(packet.origin)
         elif state is None:
             state = _RelayState(phase=RelayPhase.DONE)
             self._states[uid] = state

@@ -44,7 +44,7 @@ class TestReconstruction:
         assert relays(obs.ledger.chain(REPLY)) == [3, 2, 1]
         # The reply reached the source: the path is known, discovery over.
         assert net.protocols[0].table.knows(4)
-        assert not net.protocols[0]._discoveries
+        assert 4 not in net.protocols[0].discovery
 
     def test_events_time_ordered(self, observed_run):
         obs, net = observed_run
