@@ -124,22 +124,13 @@ from repro.faults import (
     mixed_chaos_plan,
 )
 from repro.mac import CsmaMac, MacConfig
-from repro.net import (
-    SSAF,
-    ActiveNodeTable,
-    Aodv,
-    AodvConfig,
-    BlindFlooding,
-    Counter1Flooding,
-    Dsdv,
-    Dsr,
-    FloodingConfig,
-    GradientRouting,
-    Packet,
-    PacketKind,
-    RoutelessConfig,
-    RoutelessRouting,
-)
+from repro.net.aodv import Aodv, AodvConfig
+from repro.net.dsdv import Dsdv
+from repro.net.dsr import Dsr
+from repro.net.flooding import SSAF, BlindFlooding, Counter1Flooding, FloodingConfig
+from repro.net.gradient import GradientRouting
+from repro.net.packet import Packet, PacketKind
+from repro.net.routeless import ActiveNodeTable, RoutelessConfig, RoutelessRouting
 from repro.phy import (
     Channel,
     FreeSpace,

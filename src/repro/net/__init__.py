@@ -1,55 +1,8 @@
-"""Network-layer protocols: flooding variants, Routeless Routing, AODV, Gradient."""
+"""Network-layer protocols: flooding variants, Routeless Routing, AODV, DSR,
+DSDV, Gradient.
 
-from repro.net.aodv import Aodv, AodvConfig, Route
-from repro.net.base import DuplicateCache, NetworkProtocol
-from repro.net.dsdv import Dsdv, DsdvConfig, DsdvRoute
-from repro.net.dsr import Dsr, DsrConfig
-from repro.net.flooding import (
-    SSAF,
-    BlindFlooding,
-    Counter1Flooding,
-    ElectionFlooding,
-    FloodingConfig,
-)
-from repro.net.gradient import GradientConfig, GradientRouting
-from repro.net.packet import (
-    DEFAULT_CTRL_SIZE,
-    DEFAULT_DATA_SIZE,
-    Packet,
-    PacketKind,
-    SeqCounter,
-)
-from repro.net.routeless import (
-    ActiveNodeTable,
-    RelayPhase,
-    RoutelessConfig,
-    RoutelessRouting,
-)
-
-__all__ = [
-    "ActiveNodeTable",
-    "Aodv",
-    "AodvConfig",
-    "BlindFlooding",
-    "Counter1Flooding",
-    "DEFAULT_CTRL_SIZE",
-    "Dsdv",
-    "DsdvConfig",
-    "DsdvRoute",
-    "Dsr",
-    "DsrConfig",
-    "DEFAULT_DATA_SIZE",
-    "DuplicateCache",
-    "ElectionFlooding",
-    "FloodingConfig",
-    "GradientConfig",
-    "GradientRouting",
-    "NetworkProtocol",
-    "Packet",
-    "PacketKind",
-    "RelayPhase",
-    "Route",
-    "RoutelessConfig",
-    "RoutelessRouting",
-    "SeqCounter",
-]
+The package imports nothing: import a protocol from its module
+(``repro.net.aodv``, ``repro.net.routeless``, ...), or take the public
+names from :mod:`repro.api`.  ``repro.net.packet`` depends on no other
+layer, so any layer (``repro.obs`` included) can import it at module level.
+"""

@@ -25,6 +25,8 @@ from collections import Counter as TallyCounter
 from itertools import islice
 from typing import Any, Iterator, Optional
 
+from repro.net.packet import uid_fields
+
 __all__ = ["DropReason", "PacketStage", "LedgerEntry", "PacketLedger"]
 
 
@@ -106,8 +108,6 @@ class LedgerEntry:
             "stage": self.stage.value,
         }
         if self.uid is not None:
-            from repro.net.packet import uid_fields  # net imports obs
-
             kind, *origin_seq = uid_fields(self.uid)
             row["uid"] = [kind.value, *origin_seq]
         if self.reason is not None:

@@ -25,6 +25,7 @@ import json
 import os
 from pathlib import Path
 
+from repro.net.packet import uid_str
 from repro.obs.ledger import PacketLedger, PacketStage
 
 __all__ = [
@@ -42,8 +43,6 @@ _S_TO_US = 1e6
 def chrome_trace_events(ledger: PacketLedger) -> list[dict]:
     """The ``traceEvents`` list: one event per ledger entry, plus the
     metadata events naming each layer's process and each node's thread."""
-    from repro.net.packet import uid_str  # net imports obs
-
     events: list[dict] = []
     seen_threads: set[tuple[int, int]] = set()
 

@@ -83,3 +83,12 @@ def test_experiments_cli_import_loads_no_simulator():
     # any experiment: the package init re-exports nothing.
     _version, loaded = _fresh_import("repro.experiments.cli")
     assert loaded == "['repro.experiments', 'repro.experiments.cli']"
+
+
+@pytest.mark.parametrize("module_name", ["repro.obs", "repro.net"])
+def test_layer_package_imports_on_its_own(module_name):
+    # ``repro.obs`` imports ``repro.net.packet`` at module level, so the
+    # ``repro.net`` package must not pull in the protocols (which import
+    # ``repro.obs``) on the way.
+    _version, loaded = _fresh_import(module_name)
+    assert f"'{module_name}'" in loaded
