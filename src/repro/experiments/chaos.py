@@ -1,9 +1,10 @@
 """Chaos smoke gate — small cells under a mixed fault plan, with teeth.
 
 Not a paper figure: this is the CI experiment that keeps the fault-injection
-subsystem honest.  It runs one small fig1 (flooding) cell and one small fig3
-(routing) cell per protocol under :func:`~repro.faults.plan.mixed_chaos_plan`
-— duty-cycled outages, a mid-run crash with recovery, degraded links and
+subsystem honest.  It runs one small fig1 cell per flooding protocol and one
+small fig3 cell per on-demand routing protocol (AODV, DSR, Gradient and
+Routeless Routing) under :func:`~repro.faults.plan.mixed_chaos_plan` —
+duty-cycled outages, a mid-run crash with recovery, degraded links and
 packet corruption all at once — and then asserts two things:
 
 * **invariants** — the end-of-run ledger properties in
@@ -56,14 +57,14 @@ def _chaos_cells():
             # Flooding forwards from many nodes by design.
             False,
         ))
-    for protocol in ("aodv", "routeless"):
+    for protocol in ("aodv", "dsr", "gradient", "routeless"):
         cells.append((
             f"fig3/{protocol}",
             lambda obs, p=protocol: fig3_run_one(
                 p, 2, 1, fig3_cfg, obs=obs, faults=fig3_plan),
-            # Routeless retransmits on election timeouts; only AODV's
-            # unicast chains promise a single forwarder per hop.
-            protocol == "aodv",
+            # Routeless retransmits on election timeouts; the others forward
+            # each packet at most once per node.
+            protocol != "routeless",
         ))
     return cells
 
