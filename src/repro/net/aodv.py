@@ -215,6 +215,11 @@ class Aodv(NetworkProtocol):
                 hops=hops,
                 expires_at=self.now + self.config.route_lifetime_s,
             )
+        # RFC 3561: data buffered for ``dest`` leaves as soon as any route
+        # exists, also one learned in passing, so it keeps its FIFO order
+        # ahead of packets sent later.
+        if dest in self.discovery and self._valid_route(dest) is not None:
+            self.discovery.succeeded(dest)
 
     def _valid_route(self, dest: int) -> Optional[Route]:
         route = self.routes.get(dest)

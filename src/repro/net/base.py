@@ -15,7 +15,8 @@ rule to every target:
 * at a request timeout, a route known by then releases the buffer; with no
   route, a request past the retry limit drops every buffered packet as
   ``NO_ROUTE``, and otherwise the request goes out again;
-* a successful discovery cancels the timeout and releases the buffer.
+* a successful discovery cancels the timeout and releases the buffer; AODV
+  also counts a route learned in passing as success (RFC 3561).
 
 Released packets leave in the order they arrived.
 """
@@ -189,7 +190,8 @@ class RouteDiscovery:
             self._request(pending)
 
     def succeeded(self, target: int) -> None:
-        """The discovery toward ``target`` answered: release its buffer."""
+        """A route toward ``target`` is known: cancel the timeout and
+        release the buffer."""
         pending = self._pending.pop(target, None)
         if pending is None:
             return

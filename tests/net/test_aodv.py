@@ -136,23 +136,39 @@ class TestRouteMaintenance:
 
 
 class TestRouteLearnedInPassing:
-    def test_buffered_data_sent_when_rreq_times_out_with_a_route(self):
+    def test_buffered_data_sent_once_a_route_is_learned(self):
         # Node 1 is off while node 0's RREQ goes out, so no RREP comes back.
         # Node 1 then runs its own discovery toward node 0, whose RREQ gives
-        # node 0 a route to node 1.  At node 0's RREQ timeout that route
-        # answers the discovery, and the buffered packet must go out on it.
+        # node 0 a route to node 1.  That route answers node 0's discovery
+        # at once (RFC 3561), well before its 1 s RREQ timeout.
         net = line_network("aodv", n=2)
         net.radios[1].set_power(False)
-        net.protocols[0].send_data(1)
+        buffered = net.protocols[0].send_data(1)
         net.run(until=0.3)
         net.radios[1].set_power(True)
         net.protocols[1].send_data(0)
         net.run(until=0.9)
         source = net.protocols[0]
         assert source._valid_route(1) is not None
-        assert net.metrics.delivered == 1  # only node 1's packet so far
+        assert 1 not in source.discovery
+        assert buffered.uid in [d.uid for d in net.metrics.deliveries]
 
         net.run(until=5.0)
         assert net.metrics.delivered == 2
         assert source.rreqs_sent == 1
         assert source.data_dropped == 0
+
+    def test_buffered_data_leaves_ahead_of_later_packets(self):
+        # Same set-up; a packet sent after the route was learned must not
+        # overtake the one that waited for it.
+        net = line_network("aodv", n=2)
+        net.radios[1].set_power(False)
+        older = net.protocols[0].send_data(1)
+        net.run(until=0.3)
+        net.radios[1].set_power(True)
+        net.protocols[1].send_data(0)
+        net.run(until=0.4)
+        newer = net.protocols[0].send_data(1)
+        net.run(until=0.9)
+        at_node_1 = [d.uid for d in net.metrics.deliveries if d.target == 1]
+        assert at_node_1 == [older.uid, newer.uid]

@@ -3,7 +3,7 @@ Routing apply it through :class:`repro.net.base.RouteDiscovery`."""
 
 import pytest
 
-from repro.net.aodv import AodvConfig
+from repro.net.aodv import AodvConfig, Route
 from repro.net.dsr import DsrConfig
 from repro.net.gradient import GradientConfig
 from repro.net.routeless import RoutelessConfig
@@ -45,10 +45,12 @@ def isolated(protocol: str, **overrides):
 
 
 def learn_route(protocol: str, source, now: float) -> None:
-    """Give ``source`` a route to node 2 the way its protocol learns one
-    in passing."""
+    """Give ``source`` a route to node 2 that only the request timeout
+    finds.  (AODV's ``_learn`` would release the buffer at once; see
+    ``test_aodv.py``.)"""
     if protocol == "aodv":
-        source._learn(2, next_hop=1, hops=2)
+        source.routes[2] = Route(next_hop=1, hops=2,
+                                 expires_at=now + source.config.route_lifetime_s)
     elif protocol == "dsr":
         source.route_cache[2] = (0, 1, 2)
     else:
