@@ -54,8 +54,9 @@ def _chaos_cells():
             f"fig1/{protocol}",
             lambda obs, p=protocol: fig1_run_one(
                 p, 0.5, 1, fig1_cfg, obs=obs, faults=fig1_plan),
-            # Flooding forwards from many nodes by design.
-            False,
+            # Many nodes relay each packet, but each relays it at most once;
+            # the check is per (uid, node).
+            True,
         ))
     for protocol in ("aodv", "dsr", "gradient", "routeless"):
         cells.append((
