@@ -155,8 +155,8 @@ class CsmaMac(Component):
         self._kick()
         return True
 
-    def cancel_send(self, packet: "Packet") -> bool:
-        """Withdraw ``packet`` (identity match) if it has not hit the air yet.
+    def cancel_send(self, uid: int) -> bool:
+        """Withdraw the packet with this ``uid`` if it has not hit the air.
 
         Election-based protocols use this when a node loses the election
         *after* its relay left the network layer: the packet may still be
@@ -164,24 +164,22 @@ class CsmaMac(Component):
         transmitting it then would be pure redundancy.  Returns True if a
         transmission was prevented.
         """
-        if (
-            self._current is not None
-            and self._current.packet is packet
-            and not self._tx_in_flight
-            and self._ack_handle is None
-            and self._cts_handle is None
-        ):
-            if self._backoff_handle is not None:
-                self._backoff_handle.cancel()
-                self._backoff_handle = None
-            self._waiting_for_idle = False
-            self._current = None
-            self._current_seq = None
-            self._kick()
-            return True
-        if self.queue.cancel(packet):
-            return True
-        return False
+        current = self._current
+        if current is None:
+            # Every path that empties the service slot refills it from the
+            # queue (or purges the queue), so nothing is queued either.
+            return False
+        if (current.packet.uid != uid or self._tx_in_flight
+                or self._ack_handle is not None or self._cts_handle is not None):
+            return self.queue.cancel(uid)
+        if self._backoff_handle is not None:
+            self._backoff_handle.cancel()
+            self._backoff_handle = None
+        self._waiting_for_idle = False
+        self._current = None
+        self._current_seq = None
+        self._kick()
+        return True
 
     @property
     def busy(self) -> bool:

@@ -81,11 +81,12 @@ class TxQueue:
             self._count_drop(reason)
             purged.append(job)
 
-    def cancel(self, packet: Any) -> bool:
-        """Withdraw the earliest-queued live job carrying ``packet``
-        (identity match)."""
+    def cancel(self, uid: int) -> bool:
+        """Withdraw the earliest-queued live job whose packet has ``uid``."""
+        if not self._heap:
+            return False
         entry = min((entry for entry in self._heap
-                     if entry[2].packet is packet and not entry[2].cancelled),
+                     if entry[2].packet.uid == uid and not entry[2].cancelled),
                     key=lambda entry: entry[1], default=None)
         if entry is None:
             return False

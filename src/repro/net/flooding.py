@@ -21,12 +21,16 @@ whole flooding family:
   area, hop counts shrink and delivery rises.  Pair it with the MAC priority
   queue so short-backoff packets also overtake within a node (the paper's
   explanation for the delay advantage under load).
+
+A suppressing node that loses the election after its timer fired withdraws
+its relay from the MAC by uid (:meth:`~repro.mac.csma.CsmaMac.cancel_send`)
+if it is not yet on the air.  Per packet a node keeps only its duplicate
+cache and the timers still armed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.backoff import BackoffInput, BackoffPolicy, RandomBackoff, SignalStrengthBackoff
 from repro.core.timer import CandidateTimer
@@ -67,9 +71,6 @@ class ElectionFlooding(NetworkProtocol):
         self.config = config
         self._policy_rng = self.rng("policy")
         self._timers: dict[int, CandidateTimer] = {}
-        # Relays the MAC accepted but has not yet put on the air.
-        self._queued_fwd: dict[int, Packet] = {}
-        mac.sent.connect(self._on_sent)
         # counters for tests / ablations
         self.rebroadcasts = 0
         self.suppressed = 0
@@ -128,9 +129,7 @@ class ElectionFlooding(NetworkProtocol):
             return
         # The election may be lost after the timer fired but before our copy
         # reached the air; withdraw it from the MAC if it is still queued.
-        queued = self._queued_fwd.get(packet.uid)
-        if queued is not None and self.mac.cancel_send(queued):
-            del self._queued_fwd[packet.uid]
+        if self.mac.cancel_send(packet.uid):
             self.rebroadcasts -= 1
             self.suppressed += 1
             if self.ctx.observing:
@@ -150,12 +149,7 @@ class ElectionFlooding(NetworkProtocol):
                                          self.PROTOCOL_NAME, backoff_used)
         # The election backoff doubles as the intra-node queue priority: with
         # the MAC priority queue, urgent relays overtake queued laggards.
-        if self.mac.send(forwarded, priority=backoff_used):
-            self._queued_fwd[packet.uid] = forwarded
-
-    def _on_sent(self, packet: Packet, dst: Optional[int]) -> None:
-        """MAC callback: the packet is on the air and cannot be withdrawn."""
-        self._queued_fwd.pop(packet.uid, None)
+        self.mac.send(forwarded, priority=backoff_used)
 
 
 class BlindFlooding(ElectionFlooding):

@@ -31,6 +31,9 @@ timer is pending re-arms (rather than suppresses) when the duplicate it hears
 is a *retransmission by the same sender* — otherwise an arbiter's retry would
 silence the very fallback candidates it is trying to recruit.
 
+Per packet a node keeps one relay record, keyed by uid; it doubles as the
+duplicate test, so no separate duplicate cache is kept.
+
 Failure resilience falls out of the structure: a dead next-hop simply loses
 an election it never entered, and whoever else heard the packet relays
 instead — no route repair, no control storm (the Figure 4 claim).
@@ -107,7 +110,7 @@ class RelayPhase(enum.Enum):
     DONE = "done"             # resolved (acked, delivered, or gave up)
 
 
-@dataclass
+@dataclass(slots=True)
 class _RelayState:
     phase: RelayPhase
     timer: Optional[CandidateTimer] = None
@@ -208,7 +211,6 @@ class RoutelessRouting(NetworkProtocol):
         hops = self.table.hops_to(packet.target)
         expected = max((hops or 1) - 1, 0)
         stamped = packet.with_fields(expected_hops=expected)
-        self.dup_cache.record(stamped)
         self._transmit_and_arbitrate(stamped, expected)
 
     # -------------------------------------------------------- path discovery
@@ -222,7 +224,6 @@ class RoutelessRouting(NetworkProtocol):
             size_bytes=self.config.ctrl_size,
             created_at=self.now,
         )
-        self.dup_cache.record(packet)
         self.mac.send(packet)
 
     # -------------------------------------------------------------- receive
@@ -259,15 +260,17 @@ class RoutelessRouting(NetworkProtocol):
     def _on_discovery(self, packet: Packet, rx: Reception) -> None:
         uid = packet.uid
         state = self._states.get(uid)
-        if not self.dup_cache.record(packet):
-            if state is not None and state.phase == RelayPhase.BACKOFF:
+        if state is not None:
+            if state.phase == RelayPhase.BACKOFF:
                 state.timer.suppress()
                 state.phase = RelayPhase.SUPPRESSED
             return
         if packet.target == self.node_id:
+            self._states[uid] = _RelayState(phase=RelayPhase.DONE)
             self._send_reply(packet)
             return
         if packet.actual_hops + 1 >= self.config.max_hops:
+            self._states[uid] = _RelayState(phase=RelayPhase.DONE)
             if self.ctx.observing:
                 self.obs_drop(packet, DropReason.TTL_EXPIRED,
                               hops=packet.actual_hops + 1)
@@ -304,7 +307,6 @@ class RoutelessRouting(NetworkProtocol):
             expected_hops=expected,
             ref_seq=discovery.seq,
         )
-        self.dup_cache.record(reply)
         self._transmit_and_arbitrate(reply, expected)
 
     # ---- reply/data relay election
@@ -318,7 +320,6 @@ class RoutelessRouting(NetworkProtocol):
             return
 
         if state is None:
-            self.dup_cache.record(packet)
             if packet.actual_hops + 1 >= self.config.max_hops:
                 self._states[uid] = _RelayState(phase=RelayPhase.DONE)
                 if self.ctx.observing:
@@ -403,8 +404,10 @@ class RoutelessRouting(NetworkProtocol):
 
     def _on_reached_target(self, packet: Packet, rx: Reception) -> None:
         uid = packet.uid
-        first = self.dup_cache.record(packet)
         state = self._states.get(uid)
+        # Only reaching the target makes a record DONE here; one an ack
+        # created (SUPPRESSED) must not stop the first copy's delivery.
+        first = state is None or state.phase != RelayPhase.DONE
         if first:
             state = _RelayState(phase=RelayPhase.DONE)
             self._states[uid] = state
@@ -412,9 +415,6 @@ class RoutelessRouting(NetworkProtocol):
                 self.deliver_up(packet, rx)
             else:  # PATH_REPLY back at the source: the path is discovered
                 self.discovery.succeeded(packet.origin)
-        elif state is None:
-            state = _RelayState(phase=RelayPhase.DONE)
-            self._states[uid] = state
         # Duplicate copies mean somebody upstream has not heard that the
         # packet already arrived — but one ack per ack-window is plenty.
         state.note_witness(0)
@@ -494,8 +494,7 @@ class RoutelessRouting(NetworkProtocol):
         # Our own copy may still be sitting in the MAC queue (we "relayed"
         # into a busy medium and somebody else got through first) — withdraw
         # it rather than add redundancy.
-        if state.forwarded is not None:
-            self.mac.cancel_send(state.forwarded)
+        self.mac.cancel_send(uid)
         # Resolution acks always go out (once per node per packet — phase is
         # DONE now).  Rate-limiting them against *overheard* acks would be
         # wrong: a neighbor's ack covered its neighborhood, not ours, and
@@ -573,5 +572,4 @@ class RoutelessRouting(NetworkProtocol):
                 if state.arbiter_handle is not None:
                     state.arbiter_handle.cancel()
                     state.arbiter_handle = None
-                if state.forwarded is not None:
-                    self.mac.cancel_send(state.forwarded)
+                self.mac.cancel_send(uid)

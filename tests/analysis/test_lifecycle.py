@@ -54,9 +54,15 @@ class TestReconstruction:
 
     def test_candidates_recorded(self, observed_run):
         obs, net = observed_run
-        state = net.protocols[1]._states[DATA]
-        assert state.armed_delay > 0  # node 1 competed for hop one
-        assert state.heard_from == 0
+        chain = obs.ledger.chain(DATA)
+        win = next(e for e in chain
+                   if e.stage is PacketStage.FORWARD and e.node == 1)
+        assert win.detail["backoff_s"] > 0  # node 1 competed for hop one
+        # ... on the copy it heard from node 0, the only sender so far.
+        assert [e.node for e in chain
+                if e.stage is PacketStage.TX and e.time < win.time] == [0]
+        assert any(e.stage is PacketStage.RX and e.node == 1
+                   and e.time <= win.time for e in chain)
 
     def test_retransmissions_counted(self):
         obs = Observability()

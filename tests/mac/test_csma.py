@@ -141,7 +141,7 @@ class TestCancelSend:
         first, second = data(seq=0), data(seq=1)
         macs[0].send(first)
         macs[0].send(second)  # still queued while first is in service
-        assert macs[0].cancel_send(second)
+        assert macs[0].cancel_send(second.uid)
         ctx.simulator.run()
         assert [p.seq for p, _ in got] == [0]
 
@@ -151,7 +151,7 @@ class TestCancelSend:
         packet = data()
         macs[0].send(packet)
         # Cancel before the CSMA backoff elapses (difs alone is 50 µs).
-        assert macs[0].cancel_send(packet)
+        assert macs[0].cancel_send(packet.uid)
         ctx.simulator.run()
         assert got == []
         assert channel.tx_count == 0
@@ -161,11 +161,11 @@ class TestCancelSend:
         packet = data()
         macs[0].send(packet)
         ctx.simulator.run()
-        assert not macs[0].cancel_send(packet)
+        assert not macs[0].cancel_send(packet.uid)
 
     def test_cancel_unknown_packet_false(self, ctx):
         channel, radios, macs = make_mac_stack(ctx, line_positions(2))
-        assert not macs[0].cancel_send(data())
+        assert not macs[0].cancel_send(data().uid)
 
     def test_cancel_frees_queue_for_next(self, ctx):
         channel, radios, macs = make_mac_stack(ctx, line_positions(2, spacing=100.0))
@@ -173,7 +173,7 @@ class TestCancelSend:
         first, second = data(seq=0), data(seq=1)
         macs[0].send(first)
         macs[0].send(second)
-        macs[0].cancel_send(first)  # cancels the in-service job
+        macs[0].cancel_send(first.uid)  # cancels the in-service job
         ctx.simulator.run()
         assert [p.seq for p, _ in got] == [1]
 

@@ -5,10 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mac.queue import TxJob, TxQueue
+from repro.net.packet import Packet, PacketKind
 
 
 def job(tag, priority=0.0):
     return TxJob(packet=tag, dst=None, size_bytes=64, priority=priority)
+
+
+def pkt(seq):
+    return Packet(kind=PacketKind.DATA, origin=0, seq=seq, size_bytes=64)
 
 
 class TestFifo:
@@ -34,23 +39,26 @@ class TestFifo:
 
     def test_cancel_removes_job(self):
         q = TxQueue()
-        packets = [object(), object()]
+        packets = [pkt(0), pkt(1)]
         q.push(job(packets[0]))
         q.push(job(packets[1]))
-        assert q.cancel(packets[0])
+        assert q.cancel(packets[0].uid)
         assert len(q) == 1
         assert q.pop().packet is packets[1]
 
     def test_cancel_missing_returns_false(self):
         q = TxQueue()
-        assert not q.cancel(object())
+        assert not q.cancel(pkt(0).uid)
+        q.push(job(pkt(0)))
+        assert not q.cancel(pkt(1).uid)
 
     def test_cancel_is_identity_based(self):
+        # A packet's identity is its uid: a relayed copy is the same packet.
         q = TxQueue()
-        a, b = "pkt", "pkt2"
-        q.push(job(a))
-        assert not q.cancel(b)
-        assert q.cancel(a)
+        a, b = pkt(0), pkt(1)
+        q.push(job(a.forwarded(3)))
+        assert not q.cancel(b.uid)
+        assert q.cancel(a.uid)
 
     def test_priorities_are_ignored(self):
         q = TxQueue()
@@ -60,21 +68,21 @@ class TestFifo:
 
     def test_cancel_withdraws_the_earliest_queued_copy(self):
         q = TxQueue()
-        p = object()
-        jobs = [job("a"), job("b"), job(p), job(p), job("c")]
+        p = pkt(0)
+        jobs = [job(pkt(1)), job(pkt(2)), job(p), job(p), job(pkt(3))]
         for j in jobs:
             q.push(j)
         q.pop()  # leaves the later copy of p ahead of the earlier one in the heap
-        assert q.cancel(p)
+        assert q.cancel(p.uid)
         assert jobs[2].cancelled and not jobs[3].cancelled
         assert [q.pop() for _ in range(3)] == [jobs[1], jobs[3], jobs[4]]
 
     def test_bool_reflects_live_jobs(self):
         q = TxQueue()
-        p = object()
+        p = pkt(0)
         q.push(job(p))
         assert q
-        q.cancel(p)
+        q.cancel(p.uid)
         assert not q
 
 
@@ -100,11 +108,11 @@ class TestPriority:
 
     def test_cancel_in_heap(self):
         q = TxQueue(prioritized=True)
-        p = object()
+        p, other = pkt(0), pkt(1)
         q.push(job(p, priority=0.0))
-        q.push(job("other", priority=1.0))
-        assert q.cancel(p)
-        assert q.pop().packet == "other"
+        q.push(job(other, priority=1.0))
+        assert q.cancel(p.uid)
+        assert q.pop().packet is other
         assert q.pop() is None
 
     @given(st.lists(st.floats(min_value=0, max_value=100, allow_nan=False), max_size=50))

@@ -120,6 +120,6 @@ class TestInteractionWithCancel:
             ctx, line_positions(2, spacing=100.0), RTS_CONFIG)
         packet = data(target=1)
         macs[0].send(packet, dst=1)
-        assert macs[0].cancel_send(packet)
+        assert macs[0].cancel_send(packet.uid)
         ctx.simulator.run()
         assert channel.tx_count == 0

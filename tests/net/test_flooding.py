@@ -6,7 +6,10 @@ import pytest
 from repro.core.backoff import RandomBackoff
 from repro.core.timer import CandidateState
 from repro.net.flooding import FloodingConfig
+from repro.experiments.common import ScenarioConfig, build_protocol_network
 from repro.net.packet import PacketKind
+from repro.obs.ledger import DropReason, PacketStage
+from repro.obs.observe import Observability
 from tests.conftest import line_network, line_positions
 
 
@@ -17,6 +20,26 @@ def run_flood(protocol, n=5, spacing=200.0, src=0, dst=None, until=5.0,
     dst = n - 1 if dst is None else dst
     net.protocols[src].send_data(dst)
     net.run(until=until)
+    return net
+
+
+def chaos_fig1_cell(protocol):
+    """The chaos gate's fig1 cell (30 nodes under the mixed fault plan,
+    CBR stopping at 6 s), run to its 8 s end with the network kept."""
+    from repro.experiments.common import (
+        ScenarioConfig, attach_cbr, build_protocol_network, pick_flows)
+    from repro.faults import install_plan, mixed_chaos_plan
+    from repro.sim.rng import RandomStreams
+
+    scenario = ScenarioConfig(n_nodes=30, width_m=550.0, height_m=550.0,
+                              range_m=250.0, seed=1)
+    net = build_protocol_network(protocol, scenario)
+    flows = pick_flows(30, 3, RandomStreams(1 + 7777).stream("fig1.flows"),
+                       distinct_endpoints=False)
+    install_plan(net, mixed_chaos_plan(30),
+                 exempt={node for flow in flows for node in flow})
+    attach_cbr(net, flows, interval_s=0.5, stop_s=6.0)
+    net.run(until=8.0)
     return net
 
 
@@ -144,13 +167,57 @@ class TestSSAF:
                 for timer in p._timers.values()]
         assert CandidateState.SUPPRESSED not in held
 
-    def test_relays_are_released_once_on_the_air(self):
-        # A relay is kept only while the MAC may still withdraw it; once
-        # the run has drained, no node holds a forwarded packet.
-        net = drained_ssaf_run()
+class TestPowerOffPurge:
+    """A radio that powers off purges its MAC queue without telling the
+    network layer; nothing per packet may outlive that."""
+
+    @pytest.mark.parametrize("protocol", ["counter1", "ssaf"])
+    def test_drained_chaos_cell_keeps_only_dup_cache(self, protocol):
+        # Crashes and duty-cycled outages purge queued relays here; once
+        # the cell has drained, no node keeps a per-packet map.
+        net = chaos_fig1_cell(protocol)
         assert sum(p.rebroadcasts for p in net.protocols) > 0
         assert not any(p.mac.busy for p in net.protocols)
-        assert [p._queued_fwd for p in net.protocols] == [{}] * 30
+        held = {(p.node_id, name): len(value) for p in net.protocols
+                for name, value in vars(p).items()
+                if isinstance(value, dict) and value}
+        assert held == {}
+
+    @pytest.mark.parametrize("protocol", ["counter1", "ssaf"])
+    def test_purged_relay_is_not_withdrawn_again(self, protocol):
+        # Nodes 1 and 2 both hear the source and each other; node 3, the
+        # target, hears only them.  Node 2 wins, hands its relay to the MAC
+        # and powers off before it reaches the air.  Back on, it hears node
+        # 1's copy: a plain duplicate, not a second withdrawal.
+        obs = Observability()
+        positions = np.array([[0.0, 0.0], [150.0, 40.0], [150.0, -40.0],
+                              [320.0, 0.0]])
+        net = build_protocol_network(
+            protocol, ScenarioConfig(n_nodes=4, positions=positions,
+                                     range_m=250.0, seed=1), obs=obs)
+        packet = net.protocols[0].send_data(3)
+        relay = net.protocols[2]
+        while not relay.rebroadcasts:
+            net.simulator.step()
+        assert relay.mac.busy and net.protocols[1].rebroadcasts == 0
+        net.radios[2].set_power(False)
+        while relay.mac.busy:
+            net.simulator.step()
+        net.radios[2].set_power(True)
+        net.run(until=1.0)
+
+        assert [(p.rebroadcasts, p.suppressed) for p in net.protocols] == \
+            [(0, 0), (1, 0), (1, 0), (0, 0)]
+        assert net.metrics.delivered == 1
+        rows = [(e.layer, e.stage, e.reason) for e in obs.ledger.chain(packet.uid)
+                if e.node == 2 and e.layer in ("net", "mac")]
+        assert rows == [
+            ("net", PacketStage.FORWARD, None),
+            ("mac", PacketStage.ENQUEUE, None),
+            ("mac", PacketStage.CONTEND, None),
+            ("mac", PacketStage.DROP, DropReason.RADIO_OFF),
+            ("net", PacketStage.DROP, DropReason.DUPLICATE),
+        ]
 
 
 class TestMetricsIntegration:

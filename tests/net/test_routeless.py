@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.net.packet import PacketKind, packet_uid, uid_fields
-from repro.net.routeless import ActiveNodeTable, RelayPhase, RoutelessConfig
-from repro.obs.ledger import PacketStage
+from repro.net.routeless import ActiveNodeTable, RoutelessConfig
+from repro.obs.ledger import DropReason, PacketStage
 from repro.obs.observe import Observability
 from tests.conftest import line_network, line_positions
 
@@ -104,14 +104,17 @@ class TestPathDiscovery:
         assert net.channel.tx_count_by_kind["path_discovery"] == 3
 
     def test_destination_replies_once_per_discovery(self):
-        net = line_network("routeless", n=4)
+        obs = Observability()
+        net = line_network("routeless", n=4, obs=obs)
         net.protocols[0].send_data(3)
         net.run(until=5.0)
         # One reply origination reached the source; a duplicate reply would
         # have produced a second uid.
-        reply_uids = {u for u in net.protocols[0].dup_cache._seen
+        reply_uids = {u for u in obs.ledger.uids()
                       if uid_fields(u)[0] is PacketKind.PATH_REPLY}
         assert len(reply_uids) == 1
+        assert [e.node for uid in reply_uids for e in obs.ledger.chain(uid)
+                if e.stage is PacketStage.RX and e.node == 0]
 
 
 class TestRelayElection:
@@ -135,12 +138,16 @@ class TestRelayElection:
         assert levels == sorted(levels, reverse=True)
 
     def test_relay_state_machine_reaches_done(self):
+        # Every election closed: no timer is left armed, and every arbiter
+        # heard its successor before its timeout (a stuck arbiter would
+        # retransmit, then give up).
         net = line_network("routeless", n=4)
         net.protocols[0].send_data(3)
         net.run(until=5.0)
-        for protocol in net.protocols:
-            for state in protocol._states.values():
-                assert state.phase in (RelayPhase.DONE, RelayPhase.SUPPRESSED)
+        assert net.metrics.delivered == 1
+        assert net.simulator.pending == 0
+        assert sum(p.arbiter_retransmits for p in net.protocols) == 0
+        assert sum(p.gave_up for p in net.protocols) == 0
 
     def test_no_arbiter_gave_up_on_clean_line(self):
         net = line_network("routeless", n=5)
@@ -212,19 +219,59 @@ class TestFailureResilience:
         assert net.metrics.delivered == 2
 
 
+class TestPowerOffPurge:
+    def test_purged_relay_is_not_withdrawn_again(self):
+        # Node 1 wins the election for the second packet, hands its relay to
+        # the MAC and powers off before it reaches the air.  Back on, it
+        # hears the source's retransmission (a duplicate), retransmits as
+        # arbiter, and the target's ack closes its election.
+        obs = Observability()
+        net = line_network("routeless", n=3, obs=obs)
+        net.protocols[0].send_data(2)
+        net.run(until=3.0)
+        packet = net.protocols[0].send_data(2)
+        relay = net.protocols[1]
+        relays = relay.relays
+        while relay.relays == relays:
+            net.simulator.step()
+        assert relay.mac.busy
+        net.radios[1].set_power(False)
+        while relay.mac.busy:
+            net.simulator.step()
+        net.radios[1].set_power(True)
+        net.run(until=8.0)
+
+        assert net.metrics.delivered == 2
+        assert [(p.relays, p.acks_sent, p.arbiter_retransmits, p.gave_up)
+                for p in net.protocols] == [(0, 3, 1, 0), (4, 0, 1, 0),
+                                            (0, 3, 0, 0)]
+        rows = [(e.layer, e.stage, e.reason) for e in obs.ledger.chain(packet.uid)
+                if e.node == 1 and e.layer in ("net", "mac")]
+        assert rows == [
+            ("net", PacketStage.FORWARD, None),
+            ("mac", PacketStage.ENQUEUE, None),
+            ("mac", PacketStage.CONTEND, None),
+            ("mac", PacketStage.DROP, DropReason.RADIO_OFF),
+            ("mac", PacketStage.ENQUEUE, None),
+            ("mac", PacketStage.CONTEND, None),
+        ]
+
+
 class TestExpectedHopCeiling:
     def test_unknown_relay_does_not_inflate_expectation(self):
         # A node with no table entry for the target forwards with the chain's
         # expectation minus one, never more.
-        net = line_network("routeless", n=5)
+        obs = Observability()
+        net = line_network("routeless", n=5, obs=obs)
         net.protocols[0].send_data(4)
         net.run(until=5.0)
-        # A relay armed on a copy it heard; an originator did not.
-        relayed = [state.forwarded for protocol in net.protocols
-                   for state in protocol._states.values()
-                   if state.forwarded is not None
-                   and state.heard_from is not None]
-        assert relayed
-        for packet in relayed:
-            # never worse than the true diameter
-            assert packet.actual_hops + packet.expected_hops <= 5
+        for uid in (packet_uid(PacketKind.DATA, 0, 0),
+                    packet_uid(PacketKind.PATH_REPLY, 4, 0)):
+            # One relay per hop on the clean line: the n-th FORWARD row is
+            # the copy that has travelled n hops.
+            forwards = [e for e in obs.ledger.chain(uid)
+                        if e.stage is PacketStage.FORWARD]
+            assert len(forwards) == 3
+            for hops, entry in enumerate(forwards, start=1):
+                # never worse than the true diameter
+                assert hops + entry.detail["expected_hops"] <= 5
